@@ -38,6 +38,7 @@
 #include "src/obs/heartbeat.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/obs/module_range.hpp"
 #include "src/obs/run_manifest.hpp"
 
 using namespace mrpic;
@@ -130,7 +131,7 @@ OverheadRecord run_overhead_case(const std::string& dir, int steps) {
     r.telemetry_s += timed([&] {
       hb.update(sim->step_count(), sim->time(), "step");
       // Sparse in-loop events at a realistic checkpoint-ish rate.
-      if (sim->step_count() % 10 == 0) {
+      if (ModuleRange::every_n(10).due(sim->step_count())) {
         elog->publish("resil", "checkpoint", obs::EventSeverity::Info,
                       sim->step_count(), "", {{"cost_s", 0.0}});
       }

@@ -24,13 +24,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/obs/bench_diff.hpp"
+#include "src/obs/durable_file.hpp"
 #include "src/obs/json.hpp"
 
 namespace fs = std::filesystem;
@@ -48,17 +47,10 @@ int usage(const char* argv0) {
 }
 
 bool load_json(const std::string& path, json::Value& out) {
-  std::ifstream is(path);
-  if (!is) {
-    std::fprintf(stderr, "bench_compare: cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream ss;
-  ss << is.rdbuf();
   try {
-    out = json::parse(ss.str());
+    out = mrpic::obs::load_json(path);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_compare: %s: %s\n", path.c_str(), e.what());
+    std::fprintf(stderr, "bench_compare: %s\n", e.what());
     return false;
   }
   return true;

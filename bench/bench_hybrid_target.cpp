@@ -28,6 +28,7 @@
 #include "src/diag/csv_writer.hpp"
 #include "src/diag/output_dir.hpp"
 #include "src/diag/spectrum.hpp"
+#include "src/obs/module_range.hpp"
 
 using namespace mrpic;
 using namespace mrpic::constants;
@@ -113,7 +114,7 @@ std::unique_ptr<RunResult> run(const std::string& name, bool mr, bool with_foil)
 
   while (sim.time() < t_end) {
     sim.step();
-    if (sim.step_count() % 50 == 0) {
+    if (ModuleRange::every_n(50).due(sim.step_count())) {
       Real q_solid = 0;
       if (r->solid_e >= 0) {
         q_solid = diag::charge_above<2>(sim.species_level0(r->solid_e), 1 * mev) +

@@ -42,6 +42,7 @@
 #include "src/diag/stopwatch.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/memory.hpp"
+#include "src/obs/module_range.hpp"
 
 using namespace mrpic;
 using namespace mrpic::constants;
@@ -150,7 +151,7 @@ CaseResult run_case(const std::string& name, const std::string& label, bool mr,
       post_removal_s += step_s;
       ++post_removal_steps;
     }
-    if (sim->step_count() % 25 == 0) {
+    if (ModuleRange::every_n(25).due(sim->step_count())) {
       series.add_row({sim->time() * 1e15, total.seconds(), step_s * 1e3,
                       static_cast<Real>(sim->active_cells()),
                       static_cast<Real>(sim->total_particles())});

@@ -19,13 +19,12 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/obs/bench_history.hpp"
+#include "src/obs/durable_file.hpp"
 #include "src/obs/json.hpp"
 
 using namespace mrpic;
@@ -48,18 +47,11 @@ std::string basename_of(const std::string& path) {
 int append_mode(const std::string& ledger, const std::vector<std::string>& files) {
   int appended = 0;
   for (const auto& f : files) {
-    std::ifstream is(f);
-    if (!is) {
-      std::fprintf(stderr, "bench_trend: cannot open %s\n", f.c_str());
-      return 1;
-    }
-    std::stringstream ss;
-    ss << is.rdbuf();
     obs::json::Value doc;
     try {
-      doc = obs::json::parse(ss.str());
+      doc = obs::load_json(f);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench_trend: %s: %s\n", f.c_str(), e.what());
+      std::fprintf(stderr, "bench_trend: %s\n", e.what());
       return 1;
     }
     auto entry = obs::extract_bench_history(doc, basename_of(f));

@@ -95,6 +95,7 @@ int main(int argc, char** argv) {
   if (with_health) {
     health::MonitorConfig hcfg = spec.health;
     hcfg.alerts_path = out.path("lwfa_alerts.jsonl");
+    hcfg.ledger_path = out.path("lwfa_health.jsonl");
     sim.enable_health(hcfg);
   }
 
@@ -124,8 +125,6 @@ int main(int argc, char** argv) {
       obs::write_chrome_trace(sim.profiler(), sim.rank_recorder(),
                               out.path("lwfa_trace.json"), "laser_wakefield");
     });
-    sim.health()->add_flush_sink(
-        [&] { sim.health()->write_ledger_jsonl(out.path("lwfa_health.jsonl")); });
   }
 
   const Real n_gas = 5e25; // the spec's jet plateau density
@@ -181,7 +180,6 @@ int main(int argc, char** argv) {
   }
   if (with_health) {
     report.health = obs::summarize_health(*sim.health(), sim.profiler());
-    sim.health()->write_ledger_jsonl(out.path("lwfa_health.jsonl"));
     std::printf("\nhealth: %lld ledger samples, %lld alerts, probe overhead %.2f%% "
                 "(energy drift %.2e, worst continuity residual %.2e)\n",
                 static_cast<long long>(report.health.samples),

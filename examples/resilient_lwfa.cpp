@@ -15,7 +15,8 @@
 // memory tests).
 // With --health, every rebuilt simulation (initial + post-recovery replays)
 // carries the invariant ledger + watchdog; alerts land in
-// resil_alerts.jsonl and the final ledger in resil_health.jsonl.
+// resil_alerts.jsonl and every ledger sample in resil_health.jsonl, both
+// appended across incarnations.
 // With --insitu, every incarnation also runs the in-situ physics registry;
 // the resil_insitu.jsonl series is opened in append mode by replay
 // incarnations, so it stays continuous across crash -> shrink -> replay
@@ -90,12 +91,15 @@ int main(int argc, char** argv) {
     if (args.memory) { sim->enable_memory_obs(args.memory_cfg()); }
     if (with_health) {
       // Every incarnation of the sim (initial and the post-recovery
-      // replays) watches its own invariants; the alerts file is shared and
-      // appended across incarnations within this process.
+      // replays) watches its own invariants; the alerts and ledger files
+      // are shared: the initial incarnation truncates them, every replay
+      // incarnation appends.
       health::MonitorConfig hcfg;
       hcfg.nan_interval = 1;
       hcfg.residual_interval = 25;
       hcfg.alerts_path = out.path("resil_alerts.jsonl");
+      hcfg.ledger_path = out.path("resil_health.jsonl");
+      hcfg.append = incarnation > 0;
       hcfg.watchdog.bounds.push_back(
           {"max_gamma", 0.0, 1e4, health::Severity::Warn, {}});
       sim->enable_health(hcfg);
@@ -181,7 +185,6 @@ int main(int argc, char** argv) {
                 errors.empty() ? "continuous" : errors.front().c_str());
   }
   if (with_health && sim.health_enabled()) {
-    sim.health()->write_ledger_jsonl(out.path("resil_health.jsonl"));
     std::printf("  health: %lld samples, %lld alerts across the surviving run\n",
                 static_cast<long long>(sim.health()->num_samples()),
                 static_cast<long long>(sim.health()->num_alerts()));

@@ -28,6 +28,7 @@
 #include "src/obs/kernel_probe.hpp"
 #include "src/obs/memory.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/obs/module_range.hpp"
 #include "src/obs/profiler.hpp"
 #include "src/obs/rank_recorder.hpp"
 #include "src/obs/step_report.hpp"
@@ -73,12 +74,13 @@ struct SimulationConfig {
   bool use_pml = false;
   fields::PmlConfig pml{};
 
-  // Particle housekeeping.
-  int sort_interval = 20; // counting-sort tiles every N steps (0 = never)
+  // Particle housekeeping: counting-sort the tiles at the end of step n
+  // (0-based) when sort.due(n + 1), i.e. on the steps-done count.
+  ModuleRange sort{true, 0, 20};
 
-  // Dynamic load balancing (box->rank mapping + cost accounting).
-  bool dynamic_lb = false;
-  int lb_interval = 10;
+  // Dynamic load balancing (box->rank mapping + cost accounting), with the
+  // same placement as sort.
+  ModuleRange rebalance{false, 0, 10};
   dist::LoadBalanceConfig lb{};
   int nranks = 1;
 

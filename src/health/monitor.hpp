@@ -8,6 +8,8 @@
 //  - appends the sample to the (bounded) ledger history,
 //  - publishes every ledger quantity as a health_* gauge so the series
 //    lands in the obs::MetricsRegistry JSONL alongside the perf metrics,
+//  - (when ledger_path is set) appends the sample to the ledger JSONL file
+//    and flushes it, so every sample of a long or crashed run is on disk,
 //  - runs the Watchdog and logs each alert — to stderr, to the alert
 //    callback, and (when alerts_path is set) appended + flushed to an
 //    alerts JSONL file immediately, so the terminal alert of a dying run is
@@ -30,7 +32,9 @@
 #include <vector>
 
 #include "src/health/watchdog.hpp"
+#include "src/obs/durable_file.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/obs/module_range.hpp"
 
 namespace mrpic::obs {
 class EventLog;
@@ -39,7 +43,7 @@ class EventLog;
 namespace mrpic::health {
 
 struct MonitorConfig {
-  // Ledger sampling cadence in steps (fires when step % interval == 0).
+  // Ledger sampling cadence in steps (ModuleRange::every_n).
   int ledger_interval = 1;
   // NaN/Inf field-scan cadence (0 = never). Scans also record a sample.
   int nan_interval = 1;
@@ -51,6 +55,12 @@ struct MonitorConfig {
   // When set, every alert is appended to this JSONL file and flushed as it
   // is raised (durable across aborts/crashes).
   std::string alerts_path;
+  // When set, every ledger sample is appended to this JSONL file and
+  // flushed as it is recorded (not capped by history_limit).
+  std::string ledger_path;
+  // The monitor opens both files on construction, truncating them unless
+  // `append` (replay incarnations of a resilient run continue them).
+  bool append = false;
   // Echo alerts to stderr (on by default: a dying run should say why).
   bool log_to_stderr = true;
   WatchdogConfig watchdog;
@@ -74,12 +84,15 @@ public:
   const MonitorConfig& config() const { return m_cfg; }
 
   // --- cadence ------------------------------------------------------------
-  static bool due(std::int64_t step, int interval) {
-    return interval > 0 && step % interval == 0;
+  bool ledger_due(std::int64_t step) const {
+    return ModuleRange::every_n(m_cfg.ledger_interval).due(step);
   }
-  bool ledger_due(std::int64_t step) const { return due(step, m_cfg.ledger_interval); }
-  bool nan_due(std::int64_t step) const { return due(step, m_cfg.nan_interval); }
-  bool residual_due(std::int64_t step) const { return due(step, m_cfg.residual_interval); }
+  bool nan_due(std::int64_t step) const {
+    return ModuleRange::every_n(m_cfg.nan_interval).due(step);
+  }
+  bool residual_due(std::int64_t step) const {
+    return ModuleRange::every_n(m_cfg.residual_interval).due(step);
+  }
   bool sample_due(std::int64_t step) const {
     return ledger_due(step) || nan_due(step) || residual_due(step);
   }
@@ -125,10 +138,6 @@ public:
   std::int64_t num_alerts() const;
   std::int64_t num_alerts(Severity s) const;
 
-  // Full ledger history / alert log as JSONL (one object per line).
-  bool write_ledger_jsonl(const std::string& path) const;
-  bool write_alerts_jsonl(const std::string& path) const;
-
 private:
   void publish(const LedgerSample& s);
   void log_alert(const Alert& a);
@@ -147,7 +156,8 @@ private:
   bool m_checkpoint_latch = false;
   bool m_abort = false;
   Alert m_abort_alert;
-  bool m_alerts_file_started = false;  // truncate on first append
+  obs::JsonlAppender m_alerts_file;  // closed when alerts_path is empty
+  obs::JsonlAppender m_ledger_file;  // closed when ledger_path is empty
 };
 
 } // namespace mrpic::health

@@ -5,11 +5,12 @@
 // registered diagnostic is a closure that fills a flat Record of named
 // scalars; collect(step) runs every diagnostic that is due, publishes each
 // value as an `insitu_<diag>_<key>` gauge in the obs::MetricsRegistry, and
-// appends one JSON object per record to a durable JSONL series (append +
-// flush, like health alerts), so a crashed run's series survives and a
-// replayed incarnation (resil::ResilientRunner rebuilds the Simulation)
-// reopens it in append mode. Reader-side canonicalize() collapses the
-// overlap a rollback replays: per (diag, step) the last occurrence wins.
+// appends one JSON object per record to a durable JSONL series (the obs
+// durable-file unit: append + flush), so a crashed run's series survives
+// and a replayed incarnation (resil::ResilientRunner rebuilds the
+// Simulation) reopens it in append mode. Reader-side canonicalize()
+// collapses the overlap a rollback replays: per (diag, step) the last
+// occurrence wins.
 //
 // The registry itself is physics-agnostic (closures + cadences);
 // core::Simulation::enable_insitu registers the standard diagnostics of
@@ -28,7 +29,9 @@
 
 #include "src/diag/phase_space.hpp"
 #include "src/insitu/streaming.hpp"
+#include "src/obs/durable_file.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/obs/module_range.hpp"
 
 namespace mrpic::insitu {
 
@@ -50,16 +53,11 @@ public:
   using Compute = std::function<void(Record&)>;
 
   Registry() = default;
-  ~Registry();
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  // Same cadence rule as the health monitor.
-  static bool due(std::int64_t step, int interval) {
-    return interval > 0 && step % interval == 0;
-  }
-
-  // Register diagnostic `name` to run every `interval` steps (0 = never).
+  // Register diagnostic `name` to run every `interval` steps (0 = never;
+  // ModuleRange::every_n).
   void add(std::string name, int interval, Compute fn);
   int size() const { return static_cast<int>(m_diags.size()); }
   const std::vector<std::string>& names() const { return m_names; }
@@ -74,7 +72,7 @@ public:
   // append=true continues an existing file (replay incarnations). Every
   // collected record is appended and flushed immediately.
   bool open_series(const std::string& path, bool append);
-  const std::string& series_path() const { return m_series_path; }
+  const std::string& series_path() const { return m_series.path(); }
 
   // Run every diagnostic due at `step`: compute, publish gauges, append to
   // the series. Returns the number of diagnostics that ran. With force,
@@ -91,7 +89,11 @@ public:
   // One {"diag":...,"step":...,"time":...,"values":{...}} object per line.
   static void write_record(const Record& r, std::ostream& os);
   static Record parse_record(std::string_view line);
-  static std::vector<Record> read_series_jsonl(const std::string& path);
+  // Tolerant reader: a malformed line (the half-written tail of a crashed
+  // run) is skipped and counted into *num_skipped when given; throws
+  // std::runtime_error only when the file cannot be opened.
+  static std::vector<Record> read_series_jsonl(const std::string& path,
+                                               std::size_t* num_skipped = nullptr);
   // Collapse replayed overlap: per (diag, step) keep the LAST occurrence,
   // then sort by (step, diag). The result is the canonical run series.
   static std::vector<Record> canonicalize(std::vector<Record> records);
@@ -113,8 +115,7 @@ private:
   std::size_t m_history_limit = 4096;
   std::deque<Record> m_history;
   std::int64_t m_total_records = 0;
-  std::string m_series_path;
-  void* m_series = nullptr;  // std::ofstream*, opaque (freed in the dtor)
+  obs::JsonlAppender m_series;  // closed = in-memory only
 };
 
 // --- simulation-facing configuration ---------------------------------------

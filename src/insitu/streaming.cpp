@@ -6,6 +6,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "src/obs/durable_file.hpp"
+
 namespace mrpic::insitu {
 
 namespace {
@@ -245,10 +247,7 @@ bool StreamWriter::write(const Frame& f) {
 }
 
 bool StreamWriter::write_manifest() const {
-  const std::string tmp = manifest_path() + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) { return false; }
+  return obs::rewrite_json_atomic(manifest_path(), [&](std::ostream& os) {
     obs::json::Writer w(os);
     w.begin_object()
         .field("schema", "mrpic.insitu.stream.v1")
@@ -283,10 +282,7 @@ bool StreamWriter::write_manifest() const {
     }
     w.end_array();
     w.end_object();
-    os << '\n';
-    if (!os) { return false; }
-  }
-  return std::rename(tmp.c_str(), manifest_path().c_str()) == 0;
+  });
 }
 
 // --- reader ----------------------------------------------------------------
@@ -415,11 +411,7 @@ std::vector<std::string> validate_manifest(const obs::json::Value& doc) {
 }
 
 Manifest read_manifest(const std::string& path, std::vector<std::string>* errors) {
-  std::ifstream is(path);
-  if (!is) { throw std::runtime_error("insitu: cannot open manifest " + path); }
-  std::string text((std::istreambuf_iterator<char>(is)),
-                   std::istreambuf_iterator<char>());
-  const auto doc = obs::json::parse(text);
+  const auto doc = obs::load_json(path);
   auto errs = validate_manifest(doc);
   if (errors != nullptr) { *errors = errs; }
 

@@ -7,11 +7,10 @@
 // Records carry a curated subset of each bench's numeric leaves (the
 // headline metrics: efficiencies, speedups, overhead fractions, savings
 // factors, headrooms), extracted deterministically from the benchdiff
-// flattening. Appends are durable (open-append-flush per record, the health
-// alert idiom); the reader is tolerant like obs::read_metrics_jsonl — it
-// skips malformed lines AND valid-JSON lines whose schema tag is missing or
-// foreign, and reports the skipped count. bench_trend (bench/) is the CLI
-// over this.
+// flattening. Appends and reads go through the obs durable-file unit: each
+// record is appended and flushed, and the reader skips malformed lines AND
+// valid-JSON lines whose schema tag is missing or foreign, and reports the
+// skipped count. bench_trend (bench/) is the CLI over this.
 
 #include <cstdint>
 #include <map>

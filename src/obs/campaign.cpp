@@ -6,10 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/insitu/registry.hpp"
+#include "src/obs/durable_file.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace mrpic::obs {
@@ -161,12 +161,9 @@ RunSummary summarize_run_dir(const std::string& dir) {
     return rs;
   }
   rs.manifest_found = true;
-  std::ifstream is(manifest_path);
-  std::stringstream ss;
-  ss << is.rdbuf();
   json::Value doc;
   try {
-    doc = json::parse(ss.str());
+    doc = load_json(manifest_path);
   } catch (const std::exception& e) {
     rs.errors.push_back(std::string("run.json: ") + e.what());
     return rs;
@@ -379,10 +376,7 @@ void write_campaign_json(const CampaignReport& rep, std::ostream& os) {
 }
 
 bool write_campaign_json(const CampaignReport& rep, const std::string& path) {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) { return false; }
-  write_campaign_json(rep, os);
-  return static_cast<bool>(os);
+  return rewrite_json_atomic(path, [&](std::ostream& os) { write_campaign_json(rep, os); });
 }
 
 } // namespace mrpic::obs

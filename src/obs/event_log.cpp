@@ -41,16 +41,9 @@ Event EventLog::publish(Event ev) {
                   .count();
   ++m_counts[static_cast<int>(ev.severity)];
 
-  if (!m_cfg.path.empty()) {
-    if (!m_os_opened) {
-      m_os.open(m_cfg.path, m_cfg.append ? std::ios::app : std::ios::trunc);
-      m_os_opened = true;
-    }
-    if (m_os) {
-      write_event(ev, m_os);
-      m_os << '\n';
-      m_os.flush();  // durable before any abort unwinds
-    }
+  if (!m_cfg.path.empty() && (m_file.is_open() || m_file.open(m_cfg.path, m_cfg.append))) {
+    // Durable before any abort unwinds.
+    m_file.append([&](std::ostream& os) { write_event(ev, os); });
   }
 
   m_history.push_back(ev);
@@ -146,19 +139,10 @@ Event EventLog::parse_event(const std::string& line) {
 
 std::vector<Event> EventLog::read_events_jsonl(const std::string& path,
                                                std::size_t* num_skipped) {
-  std::ifstream is(path);
-  if (!is) { throw std::runtime_error("cannot open event log: " + path); }
+  // Malformed or schema-foreign lines: tolerate, count, move on.
   std::vector<Event> events;
-  std::size_t skipped = 0;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) { continue; }
-    try {
-      events.push_back(parse_event(line));
-    } catch (const std::exception&) {
-      ++skipped;  // malformed or schema-foreign: tolerate, count, move on
-    }
-  }
+  const std::size_t skipped = read_jsonl(
+      path, "event log", [&](const std::string& line) { events.push_back(parse_event(line)); });
   if (num_skipped != nullptr) { *num_skipped = skipped; }
   return events;
 }

@@ -9,22 +9,23 @@
 // Ordering contract: publish() assigns a monotone sequence number and a
 // monotone wall-clock offset (steady_clock since construction) under one
 // mutex, so the on-disk order, the seq order and the wall order all agree —
-// the campaign_smoke ctest gates this. Durability follows the health-alert
-// idiom: when a path is configured every event is appended and flushed at
-// emission, so the terminal event of a dying run is on disk before any
-// abort unwinds. The reader follows the metrics/insitu tolerance rules:
-// malformed lines AND valid-JSON lines whose schema tag is missing or
-// foreign are skipped and counted, never fatal.
+// the campaign_smoke ctest gates this. Durability and reading go through
+// the shared obs durable-file unit (durable_file.hpp): when a path is
+// configured every event is appended and flushed at emission, so the
+// terminal event of a dying run is on disk before any abort unwinds; the
+// reader skips and counts malformed lines AND valid-JSON lines whose schema
+// tag is missing or foreign, never fatal.
 
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "src/obs/durable_file.hpp"
 
 namespace mrpic::obs {
 
@@ -101,8 +102,7 @@ private:
   std::chrono::steady_clock::time_point m_start;
 
   mutable std::mutex m_mu;
-  std::ofstream m_os;  // open once; flushed per event
-  bool m_os_opened = false;
+  JsonlAppender m_file;  // opened on the first event; flushed per event
   std::int64_t m_next_seq = 0;
   std::int64_t m_counts[3] = {0, 0, 0};  // per-severity totals
   std::int64_t m_dropped = 0;

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <ctime>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
-#include "src/obs/json.hpp"
+#include "src/obs/durable_file.hpp"
+#include "src/obs/module_range.hpp"
 
 namespace mrpic::obs {
 
@@ -55,9 +52,9 @@ bool ProgressHeartbeat::update(std::int64_t step, double sim_time_s,
     m_eta_s = 0;
   }
 
-  const bool due = m_updates == 1 ||
-                   (m_cfg.interval_steps > 0 && step % m_cfg.interval_steps == 0);
-  if (!due) { return false; }
+  if (m_updates > 1 && !ModuleRange::every_n(m_cfg.interval_steps).due(step)) {
+    return false;
+  }
   return write(step, sim_time_s, phase, "running", last_alert_severity);
 }
 
@@ -72,41 +69,27 @@ bool ProgressHeartbeat::write(std::int64_t step, double sim_time_s,
   if (m_cfg.path.empty()) { return false; }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - m_start).count();
-  std::ostringstream ss;
-  json::Writer w(ss);
-  w.begin_object()
-      .field("schema", kProgressSchema)
-      .field("run_id", m_run_id)
-      .field("status", status)
-      .field("phase", phase)
-      .field("step", step)
-      .field("steps_total", m_steps_total)
-      .field("sim_time_s", sim_time_s)
-      .field("t_end_s", m_t_end_s)
-      .field("fraction_done", m_frac)
-      .field("steps_per_s", m_rate)
-      .field("eta_s", m_eta_s)  // null when unknown (json maps NaN to null)
-      .field("wall_s", wall_s)
-      .field("last_alert_severity", last_alert_severity)
-      .field("updated_unix", static_cast<std::int64_t>(std::time(nullptr)))
-      .end_object();
-
-  const std::string tmp = m_cfg.path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) { return false; }
-    os << ss.str() << '\n';
-    os.flush();
-    if (!os) { return false; }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, m_cfg.path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  ++m_writes;
-  return true;
+  const bool ok = rewrite_json_atomic(m_cfg.path, [&](std::ostream& os) {
+    json::Writer w(os);
+    w.begin_object()
+        .field("schema", kProgressSchema)
+        .field("run_id", m_run_id)
+        .field("status", status)
+        .field("phase", phase)
+        .field("step", step)
+        .field("steps_total", m_steps_total)
+        .field("sim_time_s", sim_time_s)
+        .field("t_end_s", m_t_end_s)
+        .field("fraction_done", m_frac)
+        .field("steps_per_s", m_rate)
+        .field("eta_s", m_eta_s)  // null when unknown (json maps NaN to null)
+        .field("wall_s", wall_s)
+        .field("last_alert_severity", last_alert_severity)
+        .field("updated_unix", static_cast<std::int64_t>(std::time(nullptr)))
+        .end_object();
+  });
+  if (ok) { ++m_writes; }
+  return ok;
 }
 
 } // namespace mrpic::obs

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "src/obs/locality.hpp"
+#include "src/obs/module_range.hpp"
 #include "src/perf/machine.hpp"
 
 namespace mrpic::obs {
@@ -107,7 +108,7 @@ public:
   // True when `step` is a sampled step (callers skip all probe work
   // otherwise, so the off-cadence overhead is one modulo per step).
   bool due(std::int64_t step) const {
-    return m_cfg.sample_interval > 0 && step % m_cfg.sample_interval == 0;
+    return ModuleRange::every_n(m_cfg.sample_interval).due(step);
   }
 
   // Record one kernel launch (time measured by the caller around the bare

@@ -10,6 +10,7 @@
 
 #include "src/health/monitor.hpp"
 #include "src/insitu/registry.hpp"
+#include "src/obs/durable_file.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/profiler.hpp"
 
@@ -723,10 +724,7 @@ void write_json(const PerfReport& report, std::ostream& os) {
 }
 
 bool write_json(const PerfReport& report, const std::string& path) {
-  std::ofstream os(path);
-  if (!os) { return false; }
-  write_json(report, os);
-  return static_cast<bool>(os);
+  return rewrite_json_atomic(path, [&](std::ostream& os) { write_json(report, os); });
 }
 
 } // namespace mrpic::obs

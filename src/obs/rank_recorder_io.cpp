@@ -1,9 +1,9 @@
 #include "src/obs/rank_recorder_io.hpp"
 
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
+
+#include "src/obs/durable_file.hpp"
 
 namespace mrpic::obs {
 
@@ -88,10 +88,7 @@ void write_recorder_json(const RankRecorder& rec, std::ostream& os) {
 }
 
 bool write_recorder_json(const RankRecorder& rec, const std::string& path) {
-  std::ofstream os(path);
-  if (!os) { return false; }
-  write_recorder_json(rec, os);
-  return static_cast<bool>(os);
+  return rewrite_json_atomic(path, [&](std::ostream& os) { write_recorder_json(rec, os); });
 }
 
 RankRecorder read_recorder_json(const json::Value& doc) {
@@ -182,11 +179,7 @@ RankRecorder read_recorder_json(const std::string& text) {
 }
 
 RankRecorder read_recorder_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) { throw std::runtime_error("rank_recorder_io: cannot open " + path); }
-  std::stringstream ss;
-  ss << is.rdbuf();
-  return read_recorder_json(ss.str());
+  return read_recorder_json(load_json(path));
 }
 
 } // namespace mrpic::obs

@@ -5,9 +5,10 @@
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "src/obs/durable_file.hpp"
 
 #ifdef _WIN32
 #else
@@ -96,21 +97,7 @@ std::string manifest_json(const RunManifest& m) {
 }
 
 bool write_manifest_atomic(const RunManifest& m, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) { return false; }
-    os << manifest_json(m) << '\n';
-    os.flush();
-    if (!os) { return false; }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return rewrite_json_atomic(path, [&](std::ostream& os) { os << manifest_json(m); });
 }
 
 RunManifest parse_manifest(const json::Value& doc) {
@@ -161,11 +148,7 @@ RunManifest parse_manifest(const json::Value& doc) {
 }
 
 RunManifest read_manifest(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) { throw std::runtime_error("cannot open run manifest: " + path); }
-  std::stringstream ss;
-  ss << is.rdbuf();
-  return parse_manifest(json::parse(ss.str()));
+  return parse_manifest(load_json(path));
 }
 
 std::vector<std::string> validate_manifest(const json::Value& doc) {

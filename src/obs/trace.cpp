@@ -1,8 +1,8 @@
 #include "src/obs/trace.hpp"
 
-#include <fstream>
 #include <set>
 
+#include "src/obs/durable_file.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/rank_recorder.hpp"
 
@@ -232,18 +232,16 @@ void write_chrome_trace(const std::vector<TraceEvent>& events, const RankRecorde
 
 bool write_chrome_trace(const Profiler& profiler, const std::string& path,
                         const std::string& process_name) {
-  std::ofstream os(path);
-  if (!os) { return false; }
-  write_chrome_trace(profiler.trace_events(), os, process_name);
-  return static_cast<bool>(os);
+  return rewrite_json_atomic(path, [&](std::ostream& os) {
+    write_chrome_trace(profiler.trace_events(), os, process_name);
+  });
 }
 
 bool write_chrome_trace(const Profiler& profiler, const RankRecorder& ranks,
                         const std::string& path, const std::string& process_name) {
-  std::ofstream os(path);
-  if (!os) { return false; }
-  write_chrome_trace(profiler.trace_events(), ranks, os, process_name);
-  return static_cast<bool>(os);
+  return rewrite_json_atomic(path, [&](std::ostream& os) {
+    write_chrome_trace(profiler.trace_events(), ranks, os, process_name);
+  });
 }
 
 } // namespace mrpic::obs

@@ -6,20 +6,9 @@
 
 namespace mrpic::scenario {
 
-core::SimulationConfig<2> effective_sim_config(const ScenarioSpec& spec) {
-  core::SimulationConfig<2> cfg = spec.sim;
-  cfg.sort_interval =
-      spec.cadences.sort.enabled ? static_cast<int>(spec.cadences.sort.every) : 0;
-  cfg.dynamic_lb = spec.cadences.rebalance.enabled;
-  if (spec.cadences.rebalance.every > 0) {
-    cfg.lb_interval = static_cast<int>(spec.cadences.rebalance.every);
-  }
-  return cfg;
-}
-
 std::unique_ptr<core::Simulation<2>> build_simulation(const ScenarioSpec& spec,
                                                       const BuildOptions& opts) {
-  auto sim = std::make_unique<core::Simulation<2>>(effective_sim_config(spec));
+  auto sim = std::make_unique<core::Simulation<2>>(spec.sim);
   for (const auto& sp : spec.species) { sim->add_species(sp.species, sp.injector); }
   for (const auto& lc : spec.lasers) { sim->add_laser(lc); }
   if (spec.mr_patch && !opts.no_mr) { sim->enable_mr_patch(*spec.mr_patch); }
@@ -63,8 +52,8 @@ std::string spec_digest(const ScenarioSpec& spec) {
   }
   ss << "window=" << spec.window.enabled << ',' << spec.window.dir << ','
      << spec.window.speed << ";boost=" << spec.boost.enabled << ','
-     << spec.boost.gamma << ";cad=" << spec.cadences.sort.every << ','
-     << spec.cadences.rebalance.every << ',' << spec.cadences.checkpoint.every;
+     << spec.boost.gamma << ";cad=" << sim.sort.every << ',' << sim.rebalance.every
+     << ',' << spec.cadences.checkpoint.every;
 
   const std::string bytes = ss.str();
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64-bit offset basis

@@ -18,10 +18,6 @@ struct BuildOptions {
                       // caller enable pre-init observability first
 };
 
-// Fold the cadences into the SimulationConfig (sort -> sort_interval,
-// rebalance -> dynamic_lb/lb_interval) and return the effective config.
-core::SimulationConfig<2> effective_sim_config(const ScenarioSpec& spec);
-
 // Construct + register species/lasers/patch/window (+ init and drifts unless
 // opts.init is false).
 std::unique_ptr<core::Simulation<2>> build_simulation(const ScenarioSpec& spec,

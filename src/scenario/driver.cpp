@@ -220,6 +220,7 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   if (opt.health) {
     health::MonitorConfig hcfg = spec.health;
     hcfg.alerts_path = out.path(pfx + "_alerts.jsonl");
+    hcfg.ledger_path = out.path(pfx + "_health.jsonl");
     sim.enable_health(hcfg);
     sim.health()->set_alert_callback([&last_alert_severity](const health::Alert& a) {
       last_alert_severity = health::to_string(a.severity);
@@ -252,8 +253,6 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
       obs::write_chrome_trace(sim.profiler(), sim.rank_recorder(),
                               out.path(pfx + "_trace.json"), spec.name);
     });
-    sim.health()->add_flush_sink(
-        [&] { sim.health()->write_ledger_jsonl(out.path(pfx + "_health.jsonl")); });
   }
   if (spec.cadences.checkpoint.enabled && spec.cadences.checkpoint.every > 0) {
     resil::CheckpointPolicyConfig ccfg;
@@ -344,7 +343,6 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   std::string sections = "attribution";
   if (opt.health) {
     report.health = obs::summarize_health(*sim.health(), sim.profiler());
-    sim.health()->write_ledger_jsonl(out.path(pfx + "_health.jsonl"));
     sections += ", health";
   }
   if (opt.insitu) {

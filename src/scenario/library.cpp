@@ -151,7 +151,7 @@ ScenarioSpec make_uniform_psatd() {
 ScenarioSpec make_lwfa() {
   ScenarioSpec spec;
   spec.sim = lwfa_grid();
-  spec.cadences.rebalance = {true, 0, 50};
+  spec.sim.rebalance = {true, 0, 50};
 
   // Gas jet: n = 5e25 m^-3 ~ 0.029 n_c at 800 nm (plasma wavelength
   // ~4.7 um, resolved; short enough for self-injection within the run).
@@ -231,7 +231,7 @@ ScenarioSpec make_lwfa_two_stage() {
   // designs (and of the campaign-scan traffic the roadmap targets).
   spec.sim.domain = Box2(IntVect2(0, 0), IntVect2(1199, 49));
   spec.sim.prob_hi = RealVect2(60e-6, 10e-6);
-  spec.cadences.rebalance = {true, 0, 50};
+  spec.sim.rebalance = {true, 0, 50};
 
   SpeciesSpec stage1;
   stage1.species = particles::Species::electron("stage1_electrons");

@@ -25,7 +25,7 @@
 #include "src/laser/laser_antenna.hpp"
 #include "src/mr/mr_patch.hpp"
 #include "src/plasma/plasma_injector.hpp"
-#include "src/scenario/module_range.hpp"
+#include "src/obs/module_range.hpp"
 
 namespace mrpic::scenario {
 
@@ -55,14 +55,11 @@ struct BoostSpec {
   Real gamma = 1.0;
 };
 
-// Housekeeping cadences (Pigeon's ModuleRange idiom). sort/rebalance are
-// folded into SimulationConfig by build_simulation (sort_interval,
-// dynamic_lb + lb_interval); checkpoint/diagnostics are honored by the
-// mrpic_run driver loop (periodic resil::CheckpointPolicy; progress +
-// history rows).
+// Driver-loop cadences (Pigeon's ModuleRange idiom), honored by the
+// mrpic_run driver loop: periodic resil::CheckpointPolicy, progress +
+// history rows. The step-loop cadences (sort, rebalance) live on
+// SimulationConfig and are set through `sim` directly.
 struct Cadences {
-  ModuleRange sort{true, 0, 20};
-  ModuleRange rebalance{false, 0, 10};
   ModuleRange checkpoint{false, 0, 0};
   ModuleRange diagnostics{true, 0, 100};
 };

@@ -15,6 +15,7 @@
 //    called for per-incarnation peaks.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -154,7 +155,9 @@ TEST(MemorySmoke, RankResidentLanesSumToLedgerTotal) {
   ASSERT_FALSE(sim.rank_recorder().steps().empty());
   EXPECT_EQ(sim.rank_recorder().steps().back().ranks.at(0).resident_bytes,
             lanes[0]);
-  const std::string path = "test_memory_heatmap_tmp.csv";
+  // Per pid: memory_smoke and the discovered test run concurrently.
+  const std::string path =
+      "test_memory_heatmap_" + std::to_string(static_cast<long>(::getpid())) + ".csv";
   ASSERT_TRUE(sim.rank_recorder().write_memory_heatmap_csv(path));
   std::ifstream is(path);
   std::string header;

@@ -147,8 +147,7 @@ TEST(Simulation, DomainPmlAbsorbsLaser) {
 TEST(Simulation, DynamicLoadBalancingRebalances) {
   auto cfg = periodic_config(32);
   cfg.max_grid_size = mrpic::IntVect2(8); // 16 boxes: room to balance
-  cfg.dynamic_lb = true;
-  cfg.lb_interval = 2;
+  cfg.rebalance = {true, 0, 2};
   // SFC with cell-count costs is the paper's (cost-blind) default: the
   // clustered hot boxes land together, forcing a cost-aware remap.
   cfg.lb.strategy = dist::Strategy::SpaceFillingCurve;

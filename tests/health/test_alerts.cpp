@@ -181,18 +181,59 @@ TEST(Monitor, CadenceLargerThanRunNeverFires) {
 }
 
 TEST(Monitor, WriteJsonlDumpsHistoryAndAlerts) {
+  const std::string lpath = "test_alerts_ledger.jsonl";
+  const std::string apath = "test_alerts_log.jsonl";
   auto cfg = gamma_bound_config(10.0);
+  cfg.ledger_path = lpath;
+  cfg.alerts_path = apath;
   HealthMonitor mon(cfg);
   mon.record(hot_sample(1, 5.0));
   mon.record(hot_sample(2, 50.0));
-  const std::string lpath = "test_alerts_ledger.jsonl";
-  const std::string apath = "test_alerts_log.jsonl";
-  ASSERT_TRUE(mon.write_ledger_jsonl(lpath));
-  ASSERT_TRUE(mon.write_alerts_jsonl(apath));
   EXPECT_EQ(read_lines(lpath).size(), 2u);
   EXPECT_EQ(read_lines(apath).size(), 1u);
   std::remove(lpath.c_str());
   std::remove(apath.c_str());
+}
+
+TEST(Monitor, AppendModeKeepsAlertsOfEarlierIncarnations) {
+  // A resilient run rebuilds its monitor after a crash; the replay
+  // incarnation must continue the alerts file, not erase it.
+  const std::string path = "test_alerts_incarnations.jsonl";
+  std::remove(path.c_str());
+  {
+    auto cfg = gamma_bound_config(10.0);
+    cfg.alerts_path = path;
+    HealthMonitor first(cfg);
+    ASSERT_EQ(first.record(hot_sample(3, 50.0)).size(), 1u);
+  }
+  {
+    auto cfg = gamma_bound_config(10.0);
+    cfg.alerts_path = path;
+    cfg.append = true;
+    HealthMonitor replay(cfg);
+    ASSERT_EQ(replay.record(hot_sample(7, 60.0)).size(), 1u);
+  }
+  const auto lines = read_lines(path);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(obs::json::parse(lines[0])["step"].as_int(), 3);
+  EXPECT_EQ(obs::json::parse(lines[1])["step"].as_int(), 7);
+  std::remove(path.c_str());
+}
+
+TEST(Monitor, LedgerFileKeepsSamplesBeyondHistoryLimit) {
+  const std::string path = "test_ledger_unbounded.jsonl";
+  MonitorConfig cfg;
+  cfg.log_to_stderr = false;
+  cfg.history_limit = 8;
+  cfg.ledger_path = path;
+  HealthMonitor mon(cfg);
+  for (std::int64_t s = 0; s < 20; ++s) { mon.record(hot_sample(s, 1.0)); }
+  EXPECT_EQ(mon.history().size(), 8u);  // memory is bounded...
+  const auto lines = read_lines(path);   // ...the file is not
+  ASSERT_EQ(lines.size(), 20u);
+  EXPECT_EQ(obs::json::parse(lines.front())["step"].as_int(), 0);
+  EXPECT_EQ(obs::json::parse(lines.back())["step"].as_int(), 19);
+  std::remove(path.c_str());
 }
 
 // --- end-to-end: watchdog abort out of Simulation::run -----------------------

@@ -9,6 +9,7 @@
 // and the Esirkepov continuity residual holds to round-off.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -35,7 +36,10 @@ core::SimulationConfig<2> periodic_config(int n = 32) {
 }
 
 TEST(HealthSmoke, InjectedFieldNanFiresAlertCheckpointAndAbort) {
-  const std::string alerts_path = "health_smoke_alerts.jsonl";
+  // Per process: ctest runs this test twice at once (health_smoke filter and
+  // the discovered test) in one working directory.
+  const std::string alerts_path =
+      "health_smoke_alerts_" + std::to_string(::getpid()) + ".jsonl";
   std::remove(alerts_path.c_str());
 
   // Field-only run: the corruption must be caught by the scan before any

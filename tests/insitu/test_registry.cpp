@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "src/health/monitor.hpp"
 #include "src/insitu/registry.hpp"
 #include "src/obs/metrics.hpp"
 
@@ -16,11 +17,23 @@ using insitu::Record;
 using insitu::Registry;
 
 TEST(InsituRegistry, DueFollowsHealthCadenceRule) {
-  EXPECT_TRUE(Registry::due(0, 10));
-  EXPECT_TRUE(Registry::due(20, 10));
-  EXPECT_FALSE(Registry::due(5, 10));
-  EXPECT_FALSE(Registry::due(7, 0));  // 0 = never
-  EXPECT_TRUE(Registry::due(3, 1));
+  // Both subsystems ask the shared ModuleRange rule: a diagnostic registered
+  // every N steps is due exactly when a health ledger at interval N is.
+  for (const int interval : {0, 1, 10}) {
+    Registry reg;
+    reg.add("d", interval, [](Record&) {});
+    health::MonitorConfig hcfg;
+    hcfg.ledger_interval = interval;
+    const health::HealthMonitor mon(hcfg);
+    for (std::int64_t step = 0; step <= 25; ++step) {
+      EXPECT_EQ(reg.any_due(step), mon.ledger_due(step)) << interval << " @ " << step;
+    }
+  }
+  Registry reg;
+  reg.add("d", 10, [](Record&) {});
+  EXPECT_TRUE(reg.any_due(0));
+  EXPECT_TRUE(reg.any_due(20));
+  EXPECT_FALSE(reg.any_due(5));
 }
 
 TEST(InsituRegistry, CollectRunsDueDiagnosticsAndPublishesGauges) {
@@ -111,6 +124,28 @@ TEST(InsituRegistry, AppendModeContinuesExistingSeries) {
   }
   // The overlapping file is still a valid series (monotone after collapse).
   EXPECT_TRUE(Registry::validate_series(path).empty());
+  std::remove(path.c_str());
+}
+
+TEST(InsituRegistry, HalfWrittenLastRecordIsSkippedAndCounted) {
+  // A run that crashed mid-append leaves half a record at the tail; the
+  // campaign join must still see the five complete ones.
+  const std::string path = "insitu_series_torn.jsonl";
+  {
+    Registry reg;
+    ASSERT_TRUE(reg.open_series(path, /*append=*/false));
+    reg.add("beam", 1, [](Record& r) { r.set("emit_ny_m_rad", 1e-6); });
+    for (std::int64_t s = 0; s < 5; ++s) { reg.collect(s, 0.0); }
+  }
+  {
+    std::ofstream os(path, std::ios::app);
+    os << R"({"diag":"beam","step":5,"time":0,"val)";
+  }
+  std::size_t skipped = 0;
+  const auto records = Registry::read_series_jsonl(path, &skipped);
+  ASSERT_EQ(records.size(), 5u);
+  EXPECT_EQ(skipped, 1u);
+  EXPECT_EQ(records.back().step, 4);
   std::remove(path.c_str());
 }
 

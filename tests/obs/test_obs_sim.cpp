@@ -129,8 +129,7 @@ TEST(ObsSim, TracedRunEmitsLoadableChromeTrace) {
 
 TEST(ObsSim, DynamicLbPublishesImbalanceGauge) {
   auto cfg = small_config();
-  cfg.dynamic_lb = true;
-  cfg.lb_interval = 2;
+  cfg.rebalance = {true, 0, 2};
   cfg.nranks = 4;
   Simulation<2> sim(cfg);
   plasma::InjectorConfig<2> inj;

@@ -5,6 +5,7 @@
 // rank recorder, the Chrome trace and the metrics.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <memory>
@@ -102,8 +103,14 @@ typename ResilientRunner<2>::Config crash_config(const std::string& path) {
   return cfg;
 }
 
+// The aggregate resil_smoke ctest and the discovered ResilSmoke.* tests run
+// this code concurrently in one working directory: checkpoints are per pid.
+std::string per_process(const std::string& base) {
+  return base + "_" + std::to_string(static_cast<long>(::getpid())) + ".bin";
+}
+
 TEST(ResilSmoke, CrashRecoversBitIdenticallyToUninterruptedRun) {
-  const std::string path = "resil_smoke_ckpt.bin";
+  const std::string path = per_process("resil_smoke_ckpt");
 
   // Uninterrupted reference.
   auto ref = build_lwfa();
@@ -141,7 +148,7 @@ TEST(ResilSmoke, CrashRecoversBitIdenticallyToUninterruptedRun) {
 }
 
 TEST(ResilSmoke, RecoveryEventsVisibleInRecorderTraceAndMetrics) {
-  const std::string path = "resil_smoke_obs.bin";
+  const std::string path = per_process("resil_smoke_obs");
   ResilientRunner<2> runner(build_lwfa, crash_config(path));
   const auto rep = runner.run();
   ASSERT_TRUE(rep.completed);
@@ -190,7 +197,7 @@ TEST(ResilSmoke, RecoveryEventsVisibleInRecorderTraceAndMetrics) {
 }
 
 TEST(ResilSmoke, NoFaultPlanRunsStraightThrough) {
-  const std::string path = "resil_smoke_clean.bin";
+  const std::string path = per_process("resil_smoke_clean");
   typename ResilientRunner<2>::Config cfg = crash_config(path);
   cfg.plan.crashes.clear();
   cfg.total_steps = 12;

@@ -14,6 +14,7 @@
 // nondecreasing in disk order (the ordering contract).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -37,8 +38,14 @@
 namespace mrpic {
 namespace {
 
+// ctest runs each of these tests twice at once (the discovered test and the
+// campaign_smoke filter), in one working directory: paths are per process.
+std::string per_process(const std::string& name) {
+  return name + "_" + std::to_string(::getpid());
+}
+
 TEST(CampaignSmoke, ThreeHeterogeneousRunsAggregateEndToEnd) {
-  const std::string camp = "test_campaign_smoke";
+  const std::string camp = per_process("test_campaign_smoke");
   std::filesystem::remove_all(camp);
 
   auto& reg = scenario::ScenarioRegistry::instance();
@@ -135,7 +142,7 @@ TEST(CampaignSmoke, ThreeHeterogeneousRunsAggregateEndToEnd) {
 }
 
 TEST(CampaignSmoke, ManifestRecordsFlagsAndArtifactInventory) {
-  const std::string dir = "test_campaign_manifest_run";
+  const std::string dir = per_process("test_campaign_manifest_run");
   std::filesystem::remove_all(dir);
   auto& reg = scenario::ScenarioRegistry::instance();
 
@@ -169,7 +176,7 @@ TEST(CampaignSmoke, ManifestRecordsFlagsAndArtifactInventory) {
 }
 
 TEST(EventTimeline, AllProducerCategoriesArriveInOrder) {
-  const std::string path = "test_event_timeline.jsonl";
+  const std::string path = per_process("test_event_timeline") + ".jsonl";
   std::remove(path.c_str());
 
   core::SimulationConfig<2> cfg;

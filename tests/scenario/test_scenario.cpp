@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "src/boost/lorentz.hpp"
 #include "src/scenario/builder.hpp"
@@ -73,19 +75,81 @@ TEST(ScenarioRegistry, RejectsDuplicateNames) {
 }
 
 TEST(ScenarioBuilder, FoldsCadencesIntoSimConfig) {
+  // The step-loop cadences are SimulationConfig fields: the built
+  // simulation runs exactly the spec's ranges, start included.
   ScenarioSpec spec = make_lwfa();
-  spec.cadences.sort = {true, 0, 7};
-  spec.cadences.rebalance = {true, 0, 13};
-  auto cfg = effective_sim_config(spec);
-  EXPECT_EQ(cfg.sort_interval, 7);
-  EXPECT_TRUE(cfg.dynamic_lb);
-  EXPECT_EQ(cfg.lb_interval, 13);
+  spec.sim.sort = {true, 3, 7};
+  spec.sim.rebalance = {true, 5, 13};
+  auto sim = build_simulation(spec, {.no_mr = false, .init = false});
+  EXPECT_EQ(sim->config().sort.start, 3);
+  EXPECT_EQ(sim->config().sort.every, 7);
+  EXPECT_TRUE(sim->config().rebalance.enabled);
+  EXPECT_EQ(sim->config().rebalance.start, 5);
+  EXPECT_EQ(sim->config().rebalance.every, 13);
 
-  spec.cadences.sort.enabled = false;
-  spec.cadences.rebalance.enabled = false;
-  cfg = effective_sim_config(spec);
-  EXPECT_EQ(cfg.sort_interval, 0);
-  EXPECT_FALSE(cfg.dynamic_lb);
+  spec.sim.sort.enabled = false;
+  spec.sim.rebalance.enabled = false;
+  sim = build_simulation(spec, {.no_mr = false, .init = false});
+  EXPECT_FALSE(sim->config().sort.due(7));
+  EXPECT_FALSE(sim->config().rebalance.due(13));
+}
+
+// A small periodic plasma with all particles in one corner over 4 ranks:
+// every rebalance evaluation publishes the lb_cost_imbalance gauge.
+ScenarioSpec imbalanced_spec(ModuleRange rebalance) {
+  ScenarioSpec spec;
+  spec.name = "imbalanced";
+  spec.sim.domain = Box2(IntVect2(0, 0), IntVect2(31, 31));
+  spec.sim.prob_hi = RealVect2(32e-7, 32e-7);
+  spec.sim.periodic = {true, true};
+  spec.sim.max_grid_size = IntVect2(8);
+  spec.sim.shape_order = 2;
+  spec.sim.nranks = 4;
+  spec.sim.rebalance = rebalance;
+  SpeciesSpec sp;
+  sp.species = particles::Species::electron();
+  sp.injector.density = plasma::slab<2>(1e24, 0.0, 0.8e-6);
+  sp.injector.ppc = IntVect2(2, 2);
+  spec.species.push_back(sp);
+  return spec;
+}
+
+// Steps done when the load balancer first evaluated (-1 = never).
+std::int64_t first_rebalance_step(const ScenarioSpec& spec, int steps) {
+  auto sim = build_simulation(spec);
+  for (int s = 0; s < steps; ++s) {
+    sim->step();
+    if (sim->metrics().history().back().gauges.count("lb_cost_imbalance") != 0) {
+      return sim->step_count();
+    }
+  }
+  return -1;
+}
+
+TEST(ScenarioBuilder, RebalanceRangeStartIsHonored) {
+  EXPECT_EQ(first_rebalance_step(imbalanced_spec({true, 6, 4}), 12), 6);
+}
+
+TEST(ScenarioBuilder, RebalanceEveryZeroNeverFires) {
+  EXPECT_EQ(first_rebalance_step(imbalanced_spec({true, 0, 0}), 20), -1);
+}
+
+// The digest identifies a workload across runs and campaigns; moving the
+// sort/rebalance cadences onto SimulationConfig must not change it.
+TEST(ScenarioRegistry, SpecDigestsAreStable) {
+  const std::map<std::string, std::string> expected = {
+      {"quickstart", "82ece7b409c271eb"},    {"uniform_psatd", "0ab190c372164708"},
+      {"lwfa", "4a09d99584888b62"},          {"lwfa_mr", "1ba58aa8eb7fa46d"},
+      {"lwfa_downramp", "e04e85124cd71a1e"}, {"lwfa_ionization", "c52e018a55330b35"},
+      {"lwfa_two_stage", "294568b7cc8a1777"}, {"boosted_lwfa", "e89316aaa3dbe5d8"},
+      {"boosted_lwfa_g4", "83398ec1ef7f322b"}, {"plasma_mirror", "3c41ee60f956610c"},
+      {"hybrid_target_mr", "4a2d57d1d1cfec3f"}, {"thin_foil_ion", "28c2ba6dd511497b"},
+  };
+  auto& reg = ScenarioRegistry::instance();
+  ASSERT_EQ(reg.entries().size(), expected.size());
+  for (const auto& [name, digest] : expected) {
+    EXPECT_EQ(spec_digest(reg.make(name)), digest) << name;
+  }
 }
 
 // Every registered scenario must build and survive a few steps with finite
@@ -161,8 +225,7 @@ std::unique_ptr<core::Simulation<2>> legacy_lwfa() {
   cfg.max_grid_size = IntVect2(150, 50);
   cfg.shape_order = 3;
   cfg.nranks = 4;
-  cfg.dynamic_lb = true;
-  cfg.lb_interval = 50;
+  cfg.rebalance = {true, 0, 50};
   auto sim = std::make_unique<core::Simulation<2>>(cfg);
 
   plasma::InjectorConfig<2> inj;
