@@ -147,9 +147,7 @@ OverheadRecord run_overhead_case(const std::string& dir, int steps) {
 
   r.events = elog->num_events();
   r.heartbeat_writes = hb.writes();
-  for (const auto& [name, stats] : sim->profiler().flat_totals()) {
-    if (name == "step") { r.step_s = stats.inclusive_s; }
-  }
+  r.step_s = sim->profiler().breakdown("step").total.inclusive_s;
   r.overhead_frac = r.step_s > 0 ? r.telemetry_s / r.step_s : 0;
   r.overhead_ok = r.overhead_frac <= 0.01;
   return r;

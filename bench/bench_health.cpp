@@ -100,11 +100,10 @@ CadenceRecord run_cadence(int ledger_interval, int residual_interval, int steps)
   // wrong); probed cadences must hold the round-off gate.
   r.continuity_ok = !any_residual || worst_continuity <= 1e-12;
 
-  for (const auto& [name, stats] : sim.profiler().flat_totals()) {
-    if (name == "health") { r.probe_s = stats.inclusive_s; }
-    if (name == "step") { r.step_s = stats.inclusive_s; }
-  }
-  r.overhead_frac = r.step_s > 0 ? r.probe_s / r.step_s : 0;
+  const auto step = sim.profiler().breakdown("step");
+  r.probe_s = step.seconds("health");
+  r.step_s = step.total.inclusive_s;
+  r.overhead_frac = step.share("health");
   return r;
 }
 

@@ -115,11 +115,10 @@ CadenceRecord run_cadence(int reduced, int spectrum, int stream, int steps,
   r.beam_ok = beam == nullptr ||
               (beam->value("count") > 0 && std::isfinite(beam->value("emit_ny_m_rad")));
 
-  for (const auto& [name, stats] : sim.profiler().flat_totals()) {
-    if (name == "insitu") { r.insitu_s = stats.inclusive_s; }
-    if (name == "step") { r.step_s = stats.inclusive_s; }
-  }
-  r.overhead_frac = r.step_s > 0 ? r.insitu_s / r.step_s : 0;
+  const auto step = sim.profiler().breakdown("step");
+  r.insitu_s = step.seconds("insitu");
+  r.step_s = step.total.inclusive_s;
+  r.overhead_frac = step.share("insitu");
   return r;
 }
 

@@ -108,11 +108,10 @@ CaseRecord run_case(const std::string& name, int n, int nspecies, bool mr,
   r.conservation_ok =
       ledger.total_charged() - ledger.total_released() == ledger.total_current();
 
-  for (const auto& [rname, stats] : sim->profiler().flat_totals()) {
-    if (rname == "memory") { r.probe_s = stats.inclusive_s; }
-    if (rname == "step") { r.step_s = stats.inclusive_s; }
-  }
-  r.overhead_frac = r.step_s > 0 ? r.probe_s / r.step_s : 0;
+  const auto step = sim->profiler().breakdown("step");
+  r.probe_s = step.seconds("memory");
+  r.step_s = step.total.inclusive_s;
+  r.overhead_frac = step.share("memory");
   r.overhead_ok = r.overhead_frac <= 0.01;
   return r;
 }

@@ -13,7 +13,7 @@
 // With --health, the in-situ invariant ledger + NaN/stability watchdog run
 // alongside (src/health): lwfa_health.jsonl carries the per-step ledger,
 // lwfa_alerts.jsonl any alerts, and the perf report gains a "Simulation
-// health" section with the probe-overhead line item.
+// health" section; the probe's cost is the `health` row of its step anatomy.
 // With --insitu, the in-situ physics registry (src/insitu) tracks beam
 // moments/emittance, spectrum peak/FWHM, laser a0/centroid, wakefield
 // amplitude and field energy at their cadences (lwfa_insitu.jsonl), streams
@@ -35,8 +35,9 @@
 //         lwfa_metrics.jsonl (per-step counters/gauges + per-rank sections),
 //         rank_heatmap.csv (step x rank compute/comm/imbalance matrix),
 //         lwfa_ranks.json (the full recorder dump, re-loadable by the
-//         perf_report CLI), lwfa_perf_report.{md,json} (critical-path /
-//         loss-attribution report over the run, obs::analysis)
+//         perf_report CLI), lwfa_perf_report.{md,json} (measured step
+//         anatomy + critical-path / loss-attribution report over the run,
+//         assembled by scenario::assemble_perf_report like mrpic_run's)
 
 #include <cstdio>
 #include <cstdlib>
@@ -47,16 +48,10 @@
 #include "src/diag/csv_writer.hpp"
 #include "src/diag/output_dir.hpp"
 #include "src/diag/spectrum.hpp"
-#include "src/obs/analysis.hpp"
-#include "src/obs/perf_report.hpp"
 #include "src/obs/rank_recorder_io.hpp"
 #include "src/obs/trace.hpp"
-#include "src/particles/deposition.hpp"
-#include "src/particles/gather.hpp"
-#include "src/particles/pusher.hpp"
-#include "src/perf/flop_counter.hpp"
-#include "src/perf/machine.hpp"
 #include "src/scenario/builder.hpp"
+#include "src/scenario/driver.hpp"
 #include "src/scenario/library.hpp"
 
 #include "example_args.hpp"
@@ -154,11 +149,15 @@ int main(int argc, char** argv) {
   // this print, the insitu_* gauges and the JSONL series are one code path.
   sim.insitu()->collect(sim.step_count(), sim.time(), /*force=*/true);
   const auto& beam = sim.last_spectrum()->beam;
-  std::printf("\nspectral peak: %.2f MeV, relative spread %.1f%%, charge %.3f nC/m\n",
-              beam.peak_energy / mev, 100 * beam.energy_spread, beam.charge * 1e9);
+  std::printf("\nspectral peak: %s MeV, relative spread %s, charge %s nC/m\n",
+              obs::fmt_value(beam.peak_energy / mev, "%.2f").c_str(),
+              obs::fmt_value(100 * beam.energy_spread, "%.1f%%").c_str(),
+              obs::fmt_value(beam.charge * 1e9, "%.3f").c_str());
   const auto& mom = *sim.last_beam_moments();
-  std::printf("beam (>2 MeV): %.3f pC/m, norm. emittance %.3f mm mrad, <gamma> %.1f\n",
-              std::abs(mom.charge_C) * 1e12, mom.emit_ny * 1e6, mom.mean_gamma);
+  std::printf("beam (>2 MeV): %s pC/m, norm. emittance %s mm mrad, <gamma> %s\n",
+              obs::fmt_value(std::abs(mom.charge_C) * 1e12, "%.3f").c_str(),
+              obs::fmt_value(mom.emit_ny * 1e6, "%.3f").c_str(),
+              obs::fmt_value(mom.mean_gamma, "%.1f").c_str());
 
   history.write(out.path("lwfa_history.csv"));
   diag::write_field_2d(out.path("lwfa_field.csv"), sim.fields().E(), fields::X);
@@ -168,64 +167,43 @@ int main(int argc, char** argv) {
   sim.rank_recorder().write_rank_heatmap_csv(out.path("rank_heatmap.csv"));
   obs::write_recorder_json(sim.rank_recorder(), out.path("lwfa_ranks.json"));
 
-  // Attribution report over the recorded run: per-step critical paths and
-  // overhead decomposition, plus a roofline placement of the PIC stages
-  // (canonical per-element flop counts x this run's last-step volume).
-  obs::PerfReportOptions ropt;
-  ropt.title = "LWFA attribution (4 simulated ranks)";
-  ropt.latency_s = cluster::CommModel{}.latency_s;
-  auto report = obs::build_perf_report(sim.rank_recorder(), ropt);
-  if (with_insitu) {
-    report.beam = obs::summarize_insitu(*sim.insitu(), sim.profiler(), sim.insitu_stream());
-  }
-  if (with_health) {
-    report.health = obs::summarize_health(*sim.health(), sim.profiler());
-    std::printf("\nhealth: %lld ledger samples, %lld alerts, probe overhead %.2f%% "
-                "(energy drift %.2e, worst continuity residual %.2e)\n",
-                static_cast<long long>(report.health.samples),
-                static_cast<long long>(report.health.alerts),
-                100 * report.health.probe_overhead, report.health.energy_drift,
-                report.health.max_continuity_residual);
-  }
+  // The same report assembly as mrpic_run: attribution core, one section
+  // per observability flag, the measured step anatomy and the roofline.
+  scenario::RunOptions ropt;
+  ropt.health = with_health;
+  ropt.insitu = with_insitu;
+  ropt.memory = args.memory;
+  ropt.node_budget_gb = args.node_budget_gb;
+  const auto report =
+      scenario::assemble_perf_report(sim, ropt, "LWFA attribution (4 simulated ranks)");
   if (args.memory) {
-    const auto measured = sim.measured_mr_savings();
-    const auto analytic = obs::analytic_mr_savings(sim.mr_savings_inputs());
-    report.memory = obs::summarize_memory(
-        obs::memory_ledger(), sim.profiler(), &measured, &analytic,
-        &sim.rank_recorder(), args.memory_cfg().budget_bytes());
     sim.rank_recorder().write_memory_heatmap_csv(out.path("memory_heatmap.csv"));
-    std::printf("\nmemory: %s live (high water %s), MR savings measured %.2fx / "
-                "analytic %.2fx\n",
-                obs::format_bytes(double(report.memory.total_bytes)).c_str(),
-                obs::format_bytes(double(report.memory.high_water_bytes)).c_str(),
-                measured.factor, analytic.factor);
-    if (report.memory.oom.peak_bytes > 0 && args.node_budget_gb > 0) {
-      std::printf("memory: per-rank peak %s vs %.0f GiB budget -> %s\n",
-                  obs::format_bytes(double(report.memory.oom.peak_bytes)).c_str(),
-                  args.node_budget_gb,
-                  report.memory.oom.predicted ? "predicted OOM" : "fits");
-    }
-  }
-  {
-    const auto& rep = sim.last_step_report();
-    perf::FlopCounter fc;
-    fc.record("gather", particles::gather_flops_per_particle(spec.sim.shape_order, 2) *
-                            rep.particles_pushed);
-    fc.record("push", particles::push_flops_per_particle() * rep.particles_pushed);
-    fc.record("deposition",
-              particles::deposit_flops_per_particle(spec.sim.shape_order, 2) *
-                  rep.particles_pushed);
-    fc.record("field_solve",
-              fields::FDTDSolver<2>::flops_per_cell() * rep.cells_advanced);
-    report.machine = "Summit";
-    report.roofline = obs::analysis::roofline(
-        fc,
-        obs::analysis::pic_kernel_bytes(static_cast<double>(rep.particles_pushed),
-                                        static_cast<double>(rep.cells_advanced)),
-        perf::machine_by_name(report.machine));
   }
   obs::write_markdown(report, out.path("lwfa_perf_report.md"));
   obs::write_json(report, out.path("lwfa_perf_report.json"));
+
+  // Stdout summaries, read from the report (its step anatomy carries the
+  // probes' share of the step).
+  if (const auto* h = report.section("health")) {
+    std::printf("\nhealth: %.0f ledger samples, %.0f alerts (energy drift %s, worst "
+                "continuity residual %s)\n",
+                h->number("samples"), h->number("alerts"),
+                obs::fmt_value(h->number("energy_drift"), "%.2e").c_str(),
+                obs::fmt_value(h->number("max_continuity_residual"), "%.2e").c_str());
+  }
+  if (const auto* m = report.section("memory")) {
+    std::printf("\nmemory: %s live (high water %s), MR savings measured %.2fx / "
+                "analytic %.2fx\n",
+                obs::format_bytes(m->number("total_bytes")).c_str(),
+                obs::format_bytes(m->number("high_water_bytes")).c_str(),
+                m->number("mr_savings_measured"), m->number("mr_savings_analytic"));
+    if (!std::isnan(m->number("rank_peak_bytes")) && args.node_budget_gb > 0) {
+      std::printf("memory: per-rank peak %s vs %.0f GiB budget -> %s\n",
+                  obs::format_bytes(m->number("rank_peak_bytes")).c_str(),
+                  args.node_budget_gb,
+                  m->number("oom_predicted") > 0 ? "predicted OOM" : "fits");
+    }
+  }
 
   // Name the run's dominant critical path: which rank chain gated the worst
   // step and what it was made of.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace mrpic::diag {
 
@@ -42,7 +43,14 @@ Spectrum energy_spectrum(const mrpic::particles::ParticleContainer<DIM>& pc, Rea
 
 BeamQuality analyze_beam(const Spectrum& s, Real charge_per_count) {
   BeamQuality q;
-  if (s.counts.empty()) { return q; }
+  Real total = 0;
+  for (Real v : s.counts) { total += v; }
+  q.charge = total * charge_per_count;
+  if (!(total > 0)) {
+    // Empty beam: there is no peak, so no peak energy and no spread.
+    q.peak_energy = q.energy_spread = std::numeric_limits<Real>::quiet_NaN();
+    return q;
+  }
   const auto peak_it = std::max_element(s.counts.begin(), s.counts.end());
   const std::size_t pk = static_cast<std::size_t>(peak_it - s.counts.begin());
   q.peak_energy = s.bin_center(pk);
@@ -55,10 +63,6 @@ BeamQuality analyze_beam(const Spectrum& s, Real charge_per_count) {
   while (hi + 1 < s.counts.size() && s.counts[hi] > half) { ++hi; }
   const Real fwhm = (hi - lo) * s.bin_width();
   q.energy_spread = q.peak_energy > 0 ? fwhm / q.peak_energy : Real(0);
-
-  Real total = 0;
-  for (Real v : s.counts) { total += v; }
-  q.charge = total * charge_per_count;
   return q;
 }
 

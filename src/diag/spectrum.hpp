@@ -31,6 +31,8 @@ struct BeamQuality {
 
 // Peak location, relative FWHM spread and integrated charge of a spectrum
 // (charge_per_count converts summed weights to Coulombs: |q| of the species).
+// A spectrum with no counts has no peak: peak_energy and energy_spread are
+// NaN (reports print "n/a"), the charge is 0.
 BeamQuality analyze_beam(const Spectrum& s, Real charge_per_count);
 
 // Total |charge| of particles with kinetic energy above e_min [J] —

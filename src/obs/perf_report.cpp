@@ -1,12 +1,14 @@
 #include "src/obs/perf_report.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <ostream>
-
-#include <cmath>
+#include <type_traits>
 
 #include "src/health/monitor.hpp"
 #include "src/insitu/registry.hpp"
@@ -18,69 +20,197 @@ namespace mrpic::obs {
 
 namespace {
 
-std::string fmt_us(double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", seconds * 1e6);
-  return std::string(buf) + " us";
-}
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-std::string fmt_pct(double fraction) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.2f%%", fraction * 100.0);
-  return buf;
-}
+std::string fmt_us(double seconds) { return fmt_value(seconds * 1e6, "%.3f") + " us"; }
+std::string fmt_pct(double fraction) { return fmt_value(fraction * 100.0, "%.2f") + "%"; }
 
-std::string fmt3(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3g", v);
-  return buf;
-}
-
-// Chain rendering for the Markdown table: long chains (dense halo graphs
-// route the path through many ranks) show head ... tail plus the hop count;
-// the JSON keeps the full chain.
-std::string chain_string(const std::vector<int>& ranks) {
+// Long rank chains (dense halo graphs route the path through many ranks)
+// show head ... tail plus the hop count; the JSON keeps the full chain.
+std::string chain_string(const std::vector<std::int64_t>& ranks) {
   constexpr std::size_t kHead = 6, kTail = 3;
   std::string s;
-  auto append = [&s](int r) {
-    if (!s.empty()) { s += " -> "; }
-    s += std::to_string(r);
-  };
-  if (ranks.size() <= kHead + kTail + 1) {
-    for (int r : ranks) { append(r); }
-  } else {
-    for (std::size_t i = 0; i < kHead; ++i) { append(ranks[i]); }
-    s += " -> ...";
-    for (std::size_t i = ranks.size() - kTail; i < ranks.size(); ++i) { append(ranks[i]); }
-    s += " (" + std::to_string(ranks.size()) + " hops)";
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    if (ranks.size() > kHead + kTail + 1 && i == kHead) {
+      s += " -> ...";
+      i = ranks.size() - kTail;
+    }
+    s += (s.empty() ? "" : " -> ") + std::to_string(ranks[i]);
   }
+  if (ranks.size() > kHead + kTail + 1) { s += " (" + std::to_string(ranks.size()) + " hops)"; }
   return s.empty() ? "-" : s;
 }
 
-int path_final_rank(const analysis::CriticalPath& p) {
-  return p.rank_chain.empty() ? -1 : p.rank_chain.back();
+// --- the one section model's two walks ------------------------------------
+
+std::string cell(const Field& f) {
+  if (const auto* s = std::get_if<std::string>(&f.value)) { return s->empty() ? "-" : *s; }
+  if (const auto* b = std::get_if<bool>(&f.value)) { return *b ? "yes" : "no"; }
+  if (const auto* l = std::get_if<std::vector<std::int64_t>>(&f.value)) { return chain_string(*l); }
+  const double v = f.number();
+  if (!std::isfinite(v)) { return "n/a"; }
+  if (f.unit == "B") { return format_bytes(v); }
+  if (f.unit == "%") { return fmt_pct(v); }
+  if (f.unit == "us") { return fmt_us(v); }
+  const std::string unit = f.unit.empty() ? "" : " " + f.unit;
+  if (const auto* i = std::get_if<std::int64_t>(&f.value)) { return std::to_string(*i) + unit; }
+  return fmt_value(v) + unit;
 }
 
-void write_loss_json(json::Writer& w, const analysis::LossTerms& t) {
-  w.begin_object()
-      .field("nodes", t.nodes)
-      .field("total_s", t.total_s)
-      .field("ideal_s", t.ideal_s)
-      .field("efficiency", t.efficiency)
-      .field("loss", t.loss)
-      .field("imbalance", t.imbalance)
-      .field("comm", t.comm)
-      .field("latency", t.latency)
-      .field("resil", t.resil)
-      .field("residual", t.residual)
-      .field("lambda", t.lambda)
-      .field("invariant_gap", t.invariant_gap())
-      .field("compute_critical_rank", t.compute_critical_rank)
-      .field("comm_critical_rank", t.comm_critical_rank)
-      .end_object();
+// Consecutive integer labels (steps) whose other cells match share one
+// "a–b" row: 200 identical steps print one row, not 200.
+void write_table(std::ostream& os, const Table& t) {
+  std::string head = "|", rule = "|";
+  std::vector<std::pair<const Field*, std::string>> rows;  // label field, other cells
+  for (const auto& row : t.rows) {
+    rows.emplace_back(nullptr, "");
+    for (const auto& f : row) {
+      if (f.label.empty()) { continue; }
+      if (rows.size() == 1) {
+        head.append(" ").append(f.label).append(" |");
+        rule += rule.size() == 1 ? "---|" : "---:|";
+      }
+      if (rows.back().first == nullptr) {
+        rows.back().first = &f;
+      } else {
+        rows.back().second.append(" ").append(cell(f)).append(" |");
+      }
+    }
+  }
+  if (rows.empty() || rows.front().first == nullptr) { return; }
+  const auto next_step = [](const Field* a, const Field* b) {
+    const auto* x = std::get_if<std::int64_t>(&a->value);
+    const auto* y = std::get_if<std::int64_t>(&b->value);
+    return x != nullptr && y != nullptr && *y == *x + 1;
+  };
+  os << head << "\n" << rule << "\n";
+  for (std::size_t i = 0, j = 0; i < rows.size(); i = j) {
+    for (j = i + 1; j < rows.size() && rows[j].second == rows[i].second &&
+                    next_step(rows[j - 1].first, rows[j].first);
+         ++j) {}
+    os << "| " << cell(*rows[i].first) << (j - i > 1 ? "–" + cell(*rows[j - 1].first) : "")
+       << " |" << rows[i].second << "\n";
+  }
+  os << "\n";
+}
+
+void write_section(std::ostream& os, const Section& s, int depth) {
+  os << std::string(std::size_t(depth), '#') << ' ' << s.heading << "\n\n";
+  if (!s.note.empty()) { os << s.note << "\n\n"; }
+  Table fields{"", {}};
+  for (const auto& f : s.fields) {
+    if (f.label.empty()) { continue; }
+    fields.rows.push_back({{"", "field", f.label}, {"", "value", cell(f)}});
+  }
+  write_table(os, fields);
+  for (const auto& t : s.tables) { write_table(os, t); }
+  for (const auto& sub : s.subsections) { write_section(os, sub, depth + 1); }
+}
+
+void write_field(json::Writer& w, const Field& f) {
+  if (f.key.empty()) { return; }
+  std::visit(
+      [&](const auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, double>) {
+          w.field(f.key, v == 0 ? 0.0 : v);  // no -0 in the document
+        } else if constexpr (std::is_same_v<T, std::vector<std::int64_t>>) {
+          w.begin_array(f.key);
+          for (auto x : v) { w.value(x); }
+          w.end_array();
+        } else {
+          w.field(f.key, v);
+        }
+      },
+      f.value);
+}
+
+void write_table(json::Writer& w, const Table& t) {
+  w.begin_array(t.key);
+  for (const auto& row : t.rows) {
+    w.begin_object();
+    for (const auto& f : row) { write_field(w, f); }
+    w.end_object();
+  }
+  w.end_array();
+}
+
+void write_section(json::Writer& w, const Section& s) {
+  if (!s.key.empty()) { w.begin_object(s.key); }
+  for (const auto& f : s.fields) { write_field(w, f); }
+  for (const auto& t : s.tables) { write_table(w, t); }
+  for (const auto& sub : s.subsections) { write_section(w, sub); }
+  if (!s.key.empty()) { w.end_object(); }
+}
+
+// --- the attribution core as tables -----------------------------------------
+
+Table critical_path_table(const PerfReport& r, const std::vector<int>& steps) {
+  Table t{"critical_path", {}};
+  for (int i : steps) {
+    const auto& p = r.paths[std::size_t(i)];
+    const std::vector<std::int64_t> chain(p.rank_chain.begin(), p.rank_chain.end());
+    t.rows.push_back({{"step", "step", p.step},
+                      {"makespan_s", "makespan", p.makespan_s},
+                      {"modeled_total_s", "", p.modeled_total_s},
+                      {"compute_s", "compute", p.compute_s},
+                      {"transfer_s", "transfer", p.transfer_s},
+                      {"latency_s", "latency", p.latency_s}, {"retry_s", "resil", p.retry_s},
+                      {"critical_rank", "", std::int64_t(chain.empty() ? -1 : chain.back())},
+                      {"rank_chain", "rank chain", chain}});
+  }
+  return t;
+}
+
+Table loss_table(const PerfReport& r) {
+  const bool sweep = !r.scaling_losses.empty();
+  const auto& losses = sweep ? r.scaling_losses : r.step_overhead;
+  Table t{"loss", {}};
+  for (std::size_t i = 0; i < losses.size(); ++i) {
+    const auto& l = losses[i];
+    const auto step = i < r.paths.size() ? r.paths[i].step : std::int64_t(i);
+    t.rows.push_back({{"", sweep ? "nodes" : "step", sweep ? std::int64_t(l.nodes) : step},
+                      {"nodes", "", l.nodes}, {"total_s", "", l.total_s},
+                      {"ideal_s", "", l.ideal_s}, {"efficiency", "efficiency", l.efficiency, "%"},
+                      {"loss", "loss", l.loss, "%"}, {"imbalance", "imbalance", l.imbalance, "%"},
+                      {"comm", "comm", l.comm, "%"}, {"latency", "latency", l.latency, "%"},
+                      {"resil", "resil", l.resil, "%"}, {"residual", "residual", l.residual, "%"},
+                      {"lambda", "", l.lambda}, {"invariant_gap", "gap", l.invariant_gap()},
+                      {"compute_critical_rank", "", std::int64_t(l.compute_critical_rank)},
+                      {"comm_critical_rank", "", std::int64_t(l.comm_critical_rank)}});
+  }
+  return t;
 }
 
 } // namespace
+
+std::string fmt_value(double v, const char* printf_fmt) {
+  if (!std::isfinite(v)) { return "n/a"; }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), printf_fmt, v == 0 ? 0.0 : v);
+  // A tiny negative value can still round to "-0", "-0.00", ...
+  if (buf[0] == '-' && std::strspn(buf + 1, "0.") == std::strlen(buf + 1)) { return buf + 1; }
+  return buf;
+}
+
+double Field::number() const {
+  if (const auto* d = std::get_if<double>(&value)) { return *d; }
+  if (const auto* i = std::get_if<std::int64_t>(&value)) { return double(*i); }
+  if (const auto* b = std::get_if<bool>(&value)) { return *b ? 1.0 : 0.0; }
+  return kNaN;
+}
+
+Section& Section::add(std::string key, std::string label, Field::Value v, std::string unit) {
+  fields.push_back({std::move(key), std::move(label), std::move(v), std::move(unit)});
+  return *this;
+}
+
+double Section::number(std::string_view key) const {
+  for (const auto& f : fields) {
+    if (f.key == key) { return f.number(); }
+  }
+  return kNaN;
+}
 
 std::vector<int> PerfReport::worst_steps() const {
   std::vector<int> order(paths.size());
@@ -91,191 +221,238 @@ std::vector<int> PerfReport::worst_steps() const {
   return order;
 }
 
-HealthSection summarize_health(const health::HealthMonitor& mon, const Profiler& prof) {
-  HealthSection h;
-  h.enabled = true;
+const Section* PerfReport::section(std::string_view key) const {
+  for (const auto& s : sections) {
+    if (s.key == key) { return &s; }
+  }
+  return nullptr;
+}
+
+// --- section builders -------------------------------------------------------
+
+Section step_anatomy_section(const Profiler& prof) {
+  const auto step = prof.breakdown("step");
+  const double total = step.total.inclusive_s;
+  const auto steps = step.total.count;
+  const auto per_step_ms = [steps](double s) { return steps > 0 ? 1e3 * s / double(steps) : kNaN; };
+  Section a{"anatomy", "step anatomy", "Step anatomy"};
+  a.first = true;
+  a.note = "Measured wall time of the profiler's `step` region, split into its direct "
+           "sub-regions (stages and probes alike); `other` is the step's own time outside "
+           "them, so the rows sum to the step total.";
+  a.add("step_s", "step total", total, "s")
+      .add("steps", "steps", steps)
+      .add("ms_per_step", "mean step", per_step_ms(total), "ms");
+  Table t{"regions", {}};
+  const auto row = [&](const std::string& region, double s) {
+    t.rows.push_back({{"region", "region", region},
+                      {"total_s", "total", s, "s"},
+                      {"ms_per_step", "per step", per_step_ms(s), "ms"},
+                      {"share", "share", total > 0 ? s / total : 0.0, "%"}});
+  };
+  for (const auto& [region, s] : step.parts) { row(region, s.inclusive_s); }
+  row("other", step.total.exclusive_s);
+  a.tables.push_back(std::move(t));
+  return a;
+}
+
+Section health_section(const health::HealthMonitor& mon) {
   const auto history = mon.snapshot_history();
   const auto alerts = mon.snapshot_alerts();
-  h.samples = static_cast<std::int64_t>(history.size());
-  h.alerts = static_cast<std::int64_t>(alerts.size());
-  for (const auto& a : alerts) {
-    if (a.severity == health::Severity::Critical) { ++h.critical_alerts; }
-  }
-  if (!alerts.empty()) { h.last_alert = alerts.back().message; }
-
-  const auto totals = prof.flat_totals();
-  if (const auto it = totals.find("health"); it != totals.end()) {
-    h.probe_s = it->second.inclusive_s;
-  }
-  if (const auto it = totals.find("step"); it != totals.end()) {
-    h.step_s = it->second.inclusive_s;
-  }
-  h.probe_overhead = h.step_s > 0 ? h.probe_s / h.step_s : 0;
-
+  const auto critical = std::count_if(alerts.begin(), alerts.end(), [](const auto& a) {
+    return a.severity == health::Severity::Critical;
+  });
+  double drift = kNaN, gauss = kNaN, continuity = kNaN;
+  std::int64_t nan_cells = 0;
   if (history.size() >= 2) {
     const double e0 = history.front().total_energy_J();
-    const double e1 = history.back().total_energy_J();
-    h.energy_drift = (e1 - e0) / std::max(std::abs(e0), 1e-300);
+    drift = (history.back().total_energy_J() - e0) / std::max(std::abs(e0), 1e-300);
   }
+  const auto acc_max = [](double& dst, double v) {
+    if (std::isfinite(v) && (!std::isfinite(dst) || v > dst)) { dst = v; }
+  };
   for (const auto& s : history) {
-    const auto acc_max = [](double& dst, double v) {
-      if (std::isfinite(v) && (!std::isfinite(dst) || v > dst)) { dst = v; }
-    };
-    acc_max(h.max_gauss_residual, s.gauss_residual);
-    acc_max(h.max_gauss_residual, s.gauss_residual_fine);
-    acc_max(h.max_continuity_residual, s.continuity_residual);
-    acc_max(h.max_continuity_residual, s.continuity_residual_fine);
-    if (s.nan_cells > h.nan_cells) { h.nan_cells = s.nan_cells; }
+    acc_max(gauss, s.gauss_residual);
+    acc_max(gauss, s.gauss_residual_fine);
+    acc_max(continuity, s.continuity_residual);
+    acc_max(continuity, s.continuity_residual_fine);
+    nan_cells = std::max(nan_cells, std::int64_t(s.nan_cells));
   }
+  Section h{"health", "health", "Simulation health"};
+  h.add("samples", "ledger samples", std::int64_t(history.size()))
+      .add("alerts", "alerts", std::int64_t(alerts.size()))
+      .add("critical_alerts", "critical alerts", std::int64_t(critical))
+      .add("energy_drift", "relative energy drift", drift)
+      .add("max_gauss_residual", "max Gauss residual", gauss)
+      .add("max_continuity_residual", "max continuity residual (normalized)", continuity)
+      .add("nan_cells", "worst NaN scan (cells)", nan_cells)
+      .add("last_alert", "last alert", alerts.empty() ? std::string() : alerts.back().message);
   return h;
 }
 
-BeamPhysicsSection summarize_insitu(const insitu::Registry& reg, const Profiler& prof,
-                                    const insitu::StreamWriter* stream) {
-  BeamPhysicsSection b;
-  b.enabled = true;
-  b.records = reg.num_records();
-
-  const auto totals = prof.flat_totals();
-  if (const auto it = totals.find("insitu"); it != totals.end()) {
-    b.probe_s = it->second.inclusive_s;
-  }
-  if (const auto it = totals.find("step"); it != totals.end()) {
-    b.step_s = it->second.inclusive_s;
-  }
-  b.probe_overhead = b.step_s > 0 ? b.probe_s / b.step_s : 0;
-
-  if (const auto* r = reg.last("beam")) {
-    b.emit_ny = r->value("emit_ny_m_rad");
-    b.beam_charge_C = r->value("charge_C");
-    b.mean_gamma = r->value("mean_gamma");
-  }
-  if (const auto* r = reg.last("spectrum")) {
-    b.peak_energy_J = r->value("peak_energy_J");
-    b.energy_spread = r->value("energy_spread");
-  }
-  if (const auto* r = reg.last("laser")) { b.laser_a0 = r->value("a0"); }
-  if (const auto* r = reg.last("wakefield")) { b.wakefield_V_m = r->value("max_Ex_V_m"); }
-  if (const auto* r = reg.last("field_energy")) {
-    b.field_energy_J = r->value("level0_total_J");
-  }
-  if (stream != nullptr) {
-    b.stream_frames = stream->frames_written();
-    b.stream_bytes = stream->bytes_written();
-  }
+Section beam_section(const insitu::Registry& reg, const insitu::StreamWriter* stream) {
+  const auto latest = [&reg](const char* diag, const char* key) {
+    const auto* r = reg.last(diag);
+    return r != nullptr ? r->value(key) : kNaN;
+  };
+  Section b{"beam_physics", "beam physics", "Beam physics"};
+  b.add("records", "in-situ records", reg.num_records())
+      .add("emit_ny", "normalized emittance (y)", latest("beam", "emit_ny_m_rad"), "m rad")
+      .add("beam_charge_C", "beam charge", latest("beam", "charge_C"), "C")
+      .add("mean_gamma", "mean gamma", latest("beam", "mean_gamma"))
+      .add("peak_energy_J", "spectral peak energy", latest("spectrum", "peak_energy_J"), "J")
+      .add("energy_spread", "relative FWHM spread", latest("spectrum", "energy_spread"))
+      .add("laser_a0", "laser a0", latest("laser", "a0"))
+      .add("wakefield_V_m", "wakefield amplitude", latest("wakefield", "max_Ex_V_m"), "V/m")
+      .add("field_energy_J", "level-0 field energy", latest("field_energy", "level0_total_J"),
+           "J")
+      .add("stream_frames", "streamed frames",
+           stream != nullptr ? stream->frames_written() : std::int64_t(0))
+      .add("stream_bytes", "streamed bytes",
+           stream != nullptr ? stream->bytes_written() : std::int64_t(0), "B");
   return b;
 }
 
-MemorySection summarize_memory(const MemoryLedger& ledger, const Profiler& prof,
-                               const MrSavings* measured, const MrSavings* analytic,
-                               const RankRecorder* rec, double budget_bytes) {
-  MemorySection m;
-  m.enabled = true;
-  m.total_bytes = ledger.total_current();
-  m.high_water_bytes = ledger.total_high_water();
-  m.fields_bytes = ledger.current_prefix("fields");
-  m.particles_bytes = ledger.current_prefix("particles");
-  m.mr_bytes = ledger.current_prefix("mr");
-  m.pml_bytes = ledger.current_prefix("pml");
-  m.checkpoint_hw_bytes = ledger.high_water("checkpoint");
-  m.insitu_stream_bytes = ledger.current("insitu.stream");
-  m.alloc_count = ledger.total_alloc_count();
-
-  const auto totals = prof.flat_totals();
-  if (const auto it = totals.find("memory"); it != totals.end()) {
-    m.probe_s = it->second.inclusive_s;
-  }
-  if (const auto it = totals.find("step"); it != totals.end()) {
-    m.step_s = it->second.inclusive_s;
-  }
-  m.probe_overhead = m.step_s > 0 ? m.probe_s / m.step_s : 0;
-
+Section memory_section(const MemoryLedger& ledger, const MrSavings* measured,
+                       const MrSavings* analytic, const RankRecorder* rec,
+                       double budget_bytes) {
+  Section m{"memory", "memory", "Memory"};
+  m.add("total_bytes", "live footprint", ledger.total_current(), "B")
+      .add("high_water_bytes", "high water", ledger.total_high_water(), "B")
+      .add("fields_bytes", "level-0 fields", ledger.current_prefix("fields"), "B")
+      .add("particles_bytes", "particles", ledger.current_prefix("particles"), "B")
+      .add("mr_bytes", "MR patch surcharge", ledger.current_prefix("mr"), "B")
+      .add("pml_bytes", "level-0 PML", ledger.current_prefix("pml"), "B")
+      .add("checkpoint_hw_bytes", "checkpoint staging (high water)",
+           ledger.high_water("checkpoint"), "B")
+      .add("insitu_stream_bytes", "in-situ stream buffers", ledger.current("insitu.stream"),
+           "B")
+      .add("alloc_count", "allocations", ledger.total_alloc_count());
   if (measured != nullptr && analytic != nullptr) {
-    m.measured = *measured;
-    m.analytic = *analytic;
-    m.has_savings = true;
-    if (analytic->factor > 0) {
-      m.savings_disagreement =
-          std::abs(measured->factor - analytic->factor) / analytic->factor;
-    }
+    m.add("mr_savings_measured", "MR savings vs uniform fine grid, measured",
+          measured->factor, "x")
+        .add("mr_savings_analytic", "MR savings, analytic model", analytic->factor, "x")
+        .add("mr_savings_disagreement", "measured vs analytic disagreement",
+             analytic->factor > 0
+                 ? std::abs(measured->factor - analytic->factor) / analytic->factor
+                 : kNaN,
+             "%")
+        .add("mr_actual_bytes", "MR run footprint", measured->actual_bytes, "B")
+        .add("mr_uniform_fine_bytes", "uniform fine-grid footprint",
+             measured->uniform_fine_bytes, "B");
   }
   if (rec != nullptr) {
-    m.budget_bytes = budget_bytes > 0 ? budget_bytes : 0;
-    m.oom = predict_first_oom(*rec, budget_bytes);
+    const auto oom = predict_first_oom(*rec, budget_bytes);
+    const bool budget = budget_bytes > 0;  // without one, the OOM fields are JSON only
+    if (oom.peak_bytes > 0) {
+      m.add("rank_peak_bytes", "per-rank resident peak", oom.peak_bytes, "B")
+          .add("rank_peak_rank", "peak rank", std::int64_t(oom.peak_rank))
+          .add("rank_peak_step", "peak step", oom.peak_step)
+          .add("budget_bytes", budget ? "per-rank budget" : "", std::max(budget_bytes, 0.0), "B")
+          .add("oom_predicted", budget ? "OOM predicted" : "", oom.predicted)
+          .add("oom_headroom", budget ? "budget / peak" : "", oom.headroom, "x");
+      if (oom.predicted) {
+        m.add("oom_rank", "first OOM rank", std::int64_t(oom.rank))
+            .add("oom_step", "first OOM step", oom.step);
+      }
+    }
   }
   return m;
 }
 
-KernelSection summarize_kernels(const KernelProbe& probe, const Profiler& prof,
-                                const RankRecorder* rec) {
-  KernelSection k;
-  k.enabled = true;
-  k.machine = probe.machine().name;
-  k.dropped_invocations = probe.dropped_invocations();
+Section kernel_section(const KernelProbe& probe, const RankRecorder* rec) {
+  const std::string& machine = probe.machine().name;
+  Section k{"kernel_headroom", "kernel headroom", "Kernel headroom (" + machine + ")"};
 
+  // Per-kind aggregate placed on the machine roofline (zero-invocation
+  // kinds are skipped).
+  Table kernels{"kernels", {}};
+  std::int64_t sampled = 0;
   const auto aggs = probe.aggregates();
   for (int i = 0; i < kNumKernelKinds; ++i) {
     const auto& agg = aggs[std::size_t(i)];
-    k.sampled_invocations += agg.invocations;
+    sampled += agg.invocations;
     if (agg.invocations == 0) { continue; }
-    const auto rp = analysis::roofline_point(
-        kernel_kind_name(static_cast<KernelKind>(i)), agg.flops, agg.bytes,
-        probe.machine(), agg.time_s);
-    KernelSection::KernelRow row;
-    row.kernel = rp.kernel;
-    row.invocations = agg.invocations;
-    row.particles = agg.particles;
-    row.time_s = agg.time_s;
-    row.flops = agg.flops;
-    row.bytes = agg.bytes;
-    row.intensity = rp.intensity;
-    row.gbyte_s = agg.gbyte_s();
-    row.roof_tflops = rp.roof_tflops;
-    row.attained_tflops = rp.attained_tflops;
-    row.attainment = rp.attainment;
-    row.memory_bound = rp.memory_bound;
-    k.kernels.push_back(std::move(row));
+    const auto rp = analysis::roofline_point(kernel_kind_name(static_cast<KernelKind>(i)),
+                                             agg.flops, agg.bytes, probe.machine(), agg.time_s);
+    kernels.rows.push_back(
+        {{"kernel", "kernel", rp.kernel}, {"invocations", "invocations", agg.invocations},
+         {"particles", "particles", agg.particles}, {"time_s", "time", agg.time_s, "us"},
+         {"flops", "", agg.flops}, {"bytes", "", agg.bytes}, {"gbyte_s", "GB/s", agg.gbyte_s()},
+         {"intensity", "intensity", rp.intensity}, {"roof_tflops", "roof TFlop/s", rp.roof_tflops},
+         {"attained_tflops", "", rp.attained_tflops},
+         {"memory_bound", "memory bound", rp.memory_bound},
+         {"attainment", "attainment", rp.attainment, "%"}});
   }
+  k.add("machine", "roofline machine", machine)
+      .add("sampled_invocations", "sampled kernel invocations", sampled)
+      .add("dropped_invocations", "dropped at capacity", probe.dropped_invocations())
+      .add("probe_self_s", "probe self time (inside particles)", probe.self_time_s(), "s");
+  k.tables.push_back(std::move(kernels));
 
-  k.locality = probe.locality();
-  k.locality_tiles = probe.locality_tiles();
+  const auto& l = probe.locality();
+  Section loc{"locality", "", "Particle access locality"};
+  loc.add("tiles", "tile samples", probe.locality_tiles())
+      .add("particles", "particles", l.particles)
+      .add("pairs", "", l.pairs)
+      .add("inversion_fraction", "inversion fraction", l.inversion_fraction)
+      .add("mean_stride_cells", "mean gather stride", l.mean_stride_cells, "cells")
+      .add("p99_stride_cells", "p99 gather stride", l.p99_stride_cells, "cells")
+      .add("line_reuse", "cache-line reuse", l.line_reuse, "%")
+      .add("sorted_line_reuse", "cache-line reuse if cell-sorted", l.sorted_line_reuse, "%")
+      .add("predicted_sort_speedup", "predicted sort speedup", l.predicted_sort_speedup,
+           "x");
+  k.subsections.push_back(std::move(loc));
 
-  // Overlap headroom: mean per-step phase split of the step-critical rank
-  // over the recorder steps that carry phase data.
+  // Mean per-step phase split of the step-critical rank over the recorder
+  // steps that carry phase data.
+  double post = 0, wait = 0, interior = 0, headroom = 0;
+  std::int64_t steps = 0;
   if (rec != nullptr) {
     for (const auto& step : rec->steps()) {
       if (step.ranks.empty()) { continue; }
-      const RankStepStats* critical = &step.ranks.front();
-      for (const auto& rs : step.ranks) {
-        if (rs.total_s() > critical->total_s()) { critical = &rs; }
-      }
+      const auto critical = std::max_element(
+          step.ranks.begin(), step.ranks.end(),
+          [](const auto& a, const auto& b) { return a.total_s() < b.total_s(); });
       if (critical->post_s + critical->wait_s <= 0) { continue; }
-      k.mean_post_s += critical->post_s;
-      k.mean_wait_s += critical->wait_s;
-      k.mean_interior_compute_s += critical->interior_compute_s;
-      k.mean_overlap_headroom_s += critical->overlap_headroom_s;
-      ++k.overlap_steps;
-    }
-    if (k.overlap_steps > 0) {
-      const auto n = static_cast<double>(k.overlap_steps);
-      k.mean_post_s /= n;
-      k.mean_wait_s /= n;
-      k.mean_interior_compute_s /= n;
-      k.mean_overlap_headroom_s /= n;
+      post += critical->post_s;
+      wait += critical->wait_s;
+      interior += critical->interior_compute_s;
+      headroom += critical->overlap_headroom_s;
+      ++steps;
     }
   }
-
-  k.probe_s = probe.self_time_s();
-  const auto totals = prof.flat_totals();
-  if (const auto it = totals.find("kernel_obs"); it != totals.end()) {
-    k.probe_s += it->second.inclusive_s;
-  }
-  if (const auto it = totals.find("step"); it != totals.end()) {
-    k.step_s = it->second.inclusive_s;
-  }
-  k.probe_overhead = k.step_s > 0 ? k.probe_s / k.step_s : 0;
+  const double n = steps > 0 ? double(steps) : 1.0;
+  Section ov{"overlap", "", "Halo overlap headroom (critical rank, modeled cluster clock)"};
+  ov.note = "Mean per step; the headroom is recoverable by overlapping interior work "
+            "with halo waits.";
+  ov.add("steps", "steps with phase data", steps)
+      .add("mean_post_s", "post", post / n, "us")
+      .add("mean_wait_s", "wait", wait / n, "us")
+      .add("mean_interior_compute_s", "interior compute", interior / n, "us")
+      .add("mean_overlap_headroom_s", "overlap headroom", headroom / n, "us");
+  k.subsections.push_back(std::move(ov));
   return k;
 }
+
+Section roofline_section(const std::string& machine,
+                         const std::vector<analysis::KernelRoofline>& kernels) {
+  Section r{"", "roofline", "Roofline attribution (" + machine + ")"};
+  r.add("machine", "", machine);
+  Table t{"roofline", {}};
+  for (const auto& k : kernels) {
+    t.rows.push_back(
+        {{"kernel", "kernel", k.kernel}, {"flops", "flops", k.flops}, {"bytes", "bytes", k.bytes},
+         {"intensity", "intensity", k.intensity}, {"peak_tflops", "", k.peak_tflops},
+         {"peak_tbyte_s", "", k.peak_tbyte_s}, {"roof_tflops", "roof TFlop/s", k.roof_tflops},
+         {"memory_bound", "memory bound", k.memory_bound}, {"time_s", "", k.time_s},
+         {"attained_tflops", "", k.attained_tflops}, {"attainment", "", k.attainment}});
+  }
+  r.tables.push_back(std::move(t));
+  return r;
+}
+
+// --- the attribution core -----------------------------------------------------
 
 PerfReport build_perf_report(const RankRecorder& rec, const PerfReportOptions& opt) {
   PerfReport report;
@@ -287,243 +464,68 @@ PerfReport build_perf_report(const RankRecorder& rec, const PerfReportOptions& o
   report.summary = analysis::summarize(report.paths, rec.nranks());
   report.step_overhead.reserve(rec.steps().size());
   for (const auto& step : rec.steps()) {
-    report.step_overhead.push_back(
-        analysis::decompose_step_overhead(step, opt.latency_s));
+    report.step_overhead.push_back(analysis::decompose_step_overhead(step, opt.latency_s));
   }
   return report;
 }
 
 void write_markdown(const PerfReport& report, std::ostream& os) {
   os << "# " << report.title << "\n\n";
-  os << report.nranks << " ranks, " << report.summary.steps
-     << " recorded steps, wire latency " << fmt_us(report.latency_s) << ".\n\n";
+  for (const auto& sec : report.sections) {
+    if (sec.first) { write_section(os, sec, 2); }
+  }
+  os << "Attribution over " << report.nranks << " ranks, " << report.summary.steps
+     << " recorded steps on the modeled cluster clock, wire latency "
+     << fmt_us(report.latency_s) << ".\n\n";
 
-  // --- aggregate critical-path composition --------------------------------
   const auto& s = report.summary;
-  os << "## Critical-path composition (all steps)\n\n";
+  os << "## Critical-path composition (all steps, modeled cluster clock)\n\n";
+  Table composition{"", {}};
+  for (const auto& [part, sec] :
+       {std::pair{"compute", s.compute_s}, {"halo transfer", s.transfer_s},
+        {"message latency", s.latency_s}, {"resil (retries)", s.retry_s},
+        {"total makespan", s.makespan_s}}) {
+    composition.rows.push_back({{"", "component", std::string(part)},
+                                {"", "seconds", sec},
+                                {"", "share", sec / s.makespan_s, "%"}});
+  }
   if (s.steps == 0 || s.makespan_s <= 0) {
     os << "No recorded steps.\n\n";
   } else {
-    os << "| component | seconds | share |\n|---|---:|---:|\n";
-    const double T = s.makespan_s;
-    os << "| compute | " << fmt3(s.compute_s) << " | " << fmt_pct(s.compute_s / T) << " |\n";
-    os << "| halo transfer | " << fmt3(s.transfer_s) << " | " << fmt_pct(s.transfer_s / T) << " |\n";
-    os << "| message latency | " << fmt3(s.latency_s) << " | " << fmt_pct(s.latency_s / T) << " |\n";
-    os << "| resil (retries) | " << fmt3(s.retry_s) << " | " << fmt_pct(s.retry_s / T) << " |\n";
-    os << "| **total makespan** | **" << fmt3(T) << "** | 100% |\n\n";
+    write_table(os, composition);
   }
 
-  // --- stragglers ---------------------------------------------------------
-  os << "## Straggler ranks\n\n";
-  const auto stragglers = s.stragglers();
-  if (stragglers.empty()) {
-    os << "No per-rank critical-path evidence.\n\n";
-  } else {
-    os << "Ranks by time spent on the critical path:\n\n";
-    os << "| rank | critical seconds | path finishes here |\n|---:|---:|---:|\n";
-    const int listed = std::min<int>(8, int(stragglers.size()));
-    for (int i = 0; i < listed; ++i) {
-      const int r = stragglers[std::size_t(i)];
-      os << "| " << r << " | " << fmt3(s.critical_s_per_rank[std::size_t(r)]) << " | "
-         << s.finishes_per_rank[std::size_t(r)] << " |\n";
-    }
-    os << "\n";
+  os << "## Straggler ranks (modeled cluster clock)\n\n";
+  Table stragglers{"", {}};
+  for (int r : s.stragglers()) {
+    if (stragglers.rows.size() == 8) { break; }
+    const auto ri = std::size_t(r);
+    stragglers.rows.push_back({{"", "rank", std::int64_t(r)},
+                               {"", "critical seconds", s.critical_s_per_rank[ri]},
+                               {"", "path finishes here", std::int64_t(s.finishes_per_rank[ri])}});
+  }
+  if (stragglers.rows.empty()) { os << "No per-rank critical-path evidence.\n\n"; }
+  write_table(os, stragglers);
+
+  auto worst = report.worst_steps();
+  worst.resize(std::min<std::size_t>(std::size_t(std::max(report.top_steps, 0)), worst.size()));
+  if (!worst.empty()) {
+    os << "## Top " << worst.size()
+       << " steps by critical-path makespan (modeled cluster clock)\n\n";
+    write_table(os, critical_path_table(report, worst));
   }
 
-  // --- worst steps --------------------------------------------------------
-  const auto order = report.worst_steps();
-  const int shown = std::min<int>(report.top_steps, int(order.size()));
-  if (shown > 0) {
-    os << "## Top " << shown << " steps by critical-path makespan\n\n";
-    os << "| step | makespan | compute | transfer | latency | resil | rank chain |\n"
-       << "|---:|---:|---:|---:|---:|---:|---|\n";
-    for (int i = 0; i < shown; ++i) {
-      const auto& p = report.paths[std::size_t(order[std::size_t(i)])];
-      os << "| " << p.step << " | " << fmt3(p.makespan_s) << " | " << fmt3(p.compute_s)
-         << " | " << fmt3(p.transfer_s) << " | " << fmt3(p.latency_s) << " | "
-         << fmt3(p.retry_s) << " | " << chain_string(p.rank_chain) << " |\n";
-    }
-    os << "\n";
+  const auto loss = loss_table(report);
+  if (!loss.rows.empty()) {
+    os << (report.scaling_losses.empty() ? "## Per-step parallel overhead"
+                                         : "## Scaling-loss decomposition")
+       << " (modeled cluster clock)\n\nEach row splits 1 - efficiency into terms that sum "
+          "to the loss exactly (invariant gap shown).\n\n";
+    write_table(os, loss);
   }
 
-  // --- scaling losses -----------------------------------------------------
-  const bool sweep = !report.scaling_losses.empty();
-  const auto& losses = sweep ? report.scaling_losses : report.step_overhead;
-  if (!losses.empty()) {
-    os << (sweep ? "## Scaling-loss decomposition\n\n"
-                 : "## Per-step parallel overhead\n\n");
-    os << "Each row splits 1 - efficiency into terms that sum to the loss "
-          "exactly (invariant gap shown).\n\n";
-    os << "| " << (sweep ? "nodes" : "step") << " | efficiency | loss | imbalance | comm "
-       << "| latency | resil | residual | gap |\n"
-       << "|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n";
-    for (std::size_t i = 0; i < losses.size(); ++i) {
-      const auto& t = losses[i];
-      os << "| " << (sweep ? std::to_string(std::int64_t(t.nodes))
-                           : std::to_string(report.paths.size() > i
-                                                ? std::int64_t(report.paths[i].step)
-                                                : std::int64_t(i)))
-         << " | " << fmt_pct(t.efficiency) << " | " << fmt_pct(t.loss) << " | "
-         << fmt_pct(t.imbalance) << " | " << fmt_pct(t.comm) << " | "
-         << fmt_pct(t.latency) << " | " << fmt_pct(t.resil) << " | "
-         << fmt_pct(t.residual) << " | " << fmt3(t.invariant_gap()) << " |\n";
-    }
-    os << "\n";
-  }
-
-  // --- simulation health --------------------------------------------------
-  if (report.health.enabled) {
-    const auto& h = report.health;
-    os << "## Simulation health\n\n";
-    os << h.samples << " ledger samples, " << h.alerts << " alerts (" << h.critical_alerts
-       << " critical). Probe cost " << fmt3(h.probe_s) << " s of " << fmt3(h.step_s)
-       << " s stepped (" << fmt_pct(h.probe_overhead) << " overhead).\n\n";
-    os << "| invariant | value |\n|---|---:|\n";
-    os << "| relative energy drift | "
-       << (std::isfinite(h.energy_drift) ? fmt3(h.energy_drift) : std::string("-")) << " |\n";
-    os << "| max Gauss residual | "
-       << (std::isfinite(h.max_gauss_residual) ? fmt3(h.max_gauss_residual)
-                                               : std::string("-"))
-       << " |\n";
-    os << "| max continuity residual (normalized) | "
-       << (std::isfinite(h.max_continuity_residual) ? fmt3(h.max_continuity_residual)
-                                                    : std::string("-"))
-       << " |\n";
-    os << "| worst NaN scan (cells) | " << h.nan_cells << " |\n\n";
-    if (!h.last_alert.empty()) { os << "Last alert: " << h.last_alert << "\n\n"; }
-  }
-
-  // --- beam physics -------------------------------------------------------
-  if (report.beam.enabled) {
-    const auto& b = report.beam;
-    os << "## Beam physics\n\n";
-    os << b.records << " in-situ records. Probe cost " << fmt3(b.probe_s) << " s of "
-       << fmt3(b.step_s) << " s stepped (" << fmt_pct(b.probe_overhead)
-       << " overhead).";
-    if (b.stream_frames > 0) {
-      os << " Streamed " << b.stream_frames << " frames (" << b.stream_bytes
-         << " bytes).";
-    }
-    os << "\n\n";
-    const auto row = [&os](const char* name, double v, const char* unit) {
-      os << "| " << name << " | " << (std::isfinite(v) ? fmt3(v) : std::string("-"))
-         << " " << unit << " |\n";
-    };
-    os << "| beam metric | value |\n|---|---:|\n";
-    row("normalized emittance (y)", b.emit_ny, "m rad");
-    row("beam charge", b.beam_charge_C, "C");
-    row("mean gamma", b.mean_gamma, "");
-    row("spectral peak energy", b.peak_energy_J, "J");
-    row("relative FWHM spread", b.energy_spread, "");
-    row("laser a0", b.laser_a0, "");
-    row("wakefield amplitude", b.wakefield_V_m, "V/m");
-    row("level-0 field energy", b.field_energy_J, "J");
-    os << "\n";
-  }
-
-  // --- memory -------------------------------------------------------------
-  if (report.memory.enabled) {
-    const auto& m = report.memory;
-    os << "## Memory\n\n";
-    os << "Live footprint " << format_bytes(double(m.total_bytes)) << " (high water "
-       << format_bytes(double(m.high_water_bytes)) << ", " << m.alloc_count
-       << " allocations). Probe cost " << fmt3(m.probe_s) << " s of " << fmt3(m.step_s)
-       << " s stepped (" << fmt_pct(m.probe_overhead) << " overhead).\n\n";
-    os << "| subsystem | bytes |\n|---|---:|\n";
-    os << "| level-0 + MR fields | " << format_bytes(double(m.fields_bytes + m.mr_bytes))
-       << " |\n";
-    os << "| particles | " << format_bytes(double(m.particles_bytes)) << " |\n";
-    os << "| MR patch surcharge | " << format_bytes(double(m.mr_bytes)) << " |\n";
-    os << "| level-0 PML | " << format_bytes(double(m.pml_bytes)) << " |\n";
-    os << "| checkpoint staging (high water) | "
-       << format_bytes(double(m.checkpoint_hw_bytes)) << " |\n";
-    os << "| in-situ stream buffers | " << format_bytes(double(m.insitu_stream_bytes))
-       << " |\n\n";
-    if (m.has_savings) {
-      os << "MR memory savings vs an equivalent uniform fine grid: measured **"
-         << fmt3(m.measured.factor) << "x** ("
-         << format_bytes(m.measured.uniform_fine_bytes) << " -> "
-         << format_bytes(m.measured.actual_bytes) << "), analytic model "
-         << fmt3(m.analytic.factor) << "x";
-      if (std::isfinite(m.savings_disagreement)) {
-        os << " (disagreement " << fmt_pct(m.savings_disagreement) << ")";
-      }
-      os << ".\n\n";
-    }
-    if (m.oom.peak_bytes > 0) {
-      os << "Per-rank resident peak " << format_bytes(double(m.oom.peak_bytes))
-         << " (rank " << m.oom.peak_rank << ", step " << m.oom.peak_step << ")";
-      if (m.budget_bytes > 0) {
-        os << " against a " << format_bytes(m.budget_bytes) << " budget: ";
-        if (m.oom.predicted) {
-          os << "**predicted OOM** first at rank " << m.oom.rank << ", step "
-             << m.oom.step;
-        } else {
-          os << "fits with " << fmt3(m.oom.headroom) << "x headroom";
-        }
-      }
-      os << ".\n\n";
-    }
-  }
-
-  // --- kernel headroom ----------------------------------------------------
-  if (report.kernel.enabled) {
-    const auto& k = report.kernel;
-    os << "## Kernel headroom";
-    if (!k.machine.empty()) { os << " (" << k.machine << ")"; }
-    os << "\n\n";
-    os << k.sampled_invocations << " sampled kernel invocations";
-    if (k.dropped_invocations > 0) {
-      os << " (" << k.dropped_invocations << " dropped at capacity)";
-    }
-    os << ". Probe cost " << fmt3(k.probe_s) << " s of " << fmt3(k.step_s)
-       << " s stepped (" << fmt_pct(k.probe_overhead) << " overhead).\n\n";
-    if (!k.kernels.empty()) {
-      os << "| kernel | invocations | particles | time | GB/s | intensity | "
-            "roof TFlop/s | bound | attainment |\n"
-         << "|---|---:|---:|---:|---:|---:|---:|---|---:|\n";
-      for (const auto& r : k.kernels) {
-        os << "| " << r.kernel << " | " << r.invocations << " | " << r.particles
-           << " | " << fmt_us(r.time_s) << " | " << fmt3(r.gbyte_s) << " | "
-           << fmt3(r.intensity) << " | " << fmt3(r.roof_tflops) << " | "
-           << (r.memory_bound ? "memory" : "compute") << " | "
-           << (r.time_s > 0 ? fmt_pct(r.attainment) : std::string("-")) << " |\n";
-      }
-      os << "\n";
-    }
-    if (k.locality.pairs > 0) {
-      const auto& l = k.locality;
-      os << "Particle access locality (" << k.locality_tiles << " tile samples, "
-         << l.particles << " particles): inversion fraction " << fmt3(l.inversion_fraction)
-         << ", mean gather stride " << fmt3(l.mean_stride_cells) << " cells (p99 "
-         << fmt3(l.p99_stride_cells) << "), cache-line reuse " << fmt_pct(l.line_reuse)
-         << " vs " << fmt_pct(l.sorted_line_reuse)
-         << " if cell-sorted -> predicted sort speedup **"
-         << fmt3(l.predicted_sort_speedup) << "x**.\n\n";
-    }
-    if (k.overlap_steps > 0) {
-      os << "Halo phase timeline (critical rank, mean over " << k.overlap_steps
-         << " steps): post " << fmt_us(k.mean_post_s) << ", wait "
-         << fmt_us(k.mean_wait_s) << ", interior compute "
-         << fmt_us(k.mean_interior_compute_s) << " -> overlap headroom **"
-         << fmt_us(k.mean_overlap_headroom_s) << "** per step (recoverable by "
-         << "overlapping interior work with halo waits).\n\n";
-    }
-  }
-
-  // --- roofline -----------------------------------------------------------
-  if (!report.roofline.empty()) {
-    os << "## Roofline attribution";
-    if (!report.machine.empty()) { os << " (" << report.machine << ")"; }
-    os << "\n\n| kernel | flops | bytes | intensity | roof TFlop/s | bound | attainment |\n"
-       << "|---|---:|---:|---:|---:|---|---:|\n";
-    for (const auto& k : report.roofline) {
-      os << "| " << k.kernel << " | " << fmt3(k.flops) << " | " << fmt3(k.bytes) << " | "
-         << fmt3(k.intensity) << " | " << fmt3(k.roof_tflops) << " | "
-         << (k.memory_bound ? "memory" : "compute") << " | "
-         << (k.time_s > 0 ? fmt_pct(k.attainment) : std::string("-")) << " |\n";
-    }
-    os << "\n";
+  for (const auto& sec : report.sections) {
+    if (!sec.first) { write_section(os, sec, 2); }
   }
 }
 
@@ -541,7 +543,6 @@ void write_json(const PerfReport& report, std::ostream& os) {
   w.field("title", report.title);
   w.field("nranks", report.nranks);
   w.field("latency_s", report.latency_s);
-
   const auto& s = report.summary;
   w.begin_object("summary")
       .field("steps", s.steps)
@@ -551,174 +552,14 @@ void write_json(const PerfReport& report, std::ostream& os) {
       .field("latency_s", s.latency_s)
       .field("retry_s", s.retry_s)
       .end_object();
-
-  w.begin_array("critical_path");
-  for (const auto& p : report.paths) {
-    w.begin_object()
-        .field("step", p.step)
-        .field("makespan_s", p.makespan_s)
-        .field("modeled_total_s", p.modeled_total_s)
-        .field("compute_s", p.compute_s)
-        .field("transfer_s", p.transfer_s)
-        .field("latency_s", p.latency_s)
-        .field("retry_s", p.retry_s)
-        .field("critical_rank", path_final_rank(p));
-    w.begin_array("rank_chain");
-    for (int r : p.rank_chain) { w.value(std::int64_t(r)); }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-
-  const auto& losses =
-      report.scaling_losses.empty() ? report.step_overhead : report.scaling_losses;
-  w.begin_array("loss");
-  for (const auto& t : losses) { write_loss_json(w, t); }
-  w.end_array();
-
+  std::vector<int> steps(report.paths.size());
+  std::iota(steps.begin(), steps.end(), 0);
+  write_table(w, critical_path_table(report, steps));
+  write_table(w, loss_table(report));
   w.begin_array("stragglers");
   for (int r : s.stragglers()) { w.value(std::int64_t(r)); }
   w.end_array();
-
-  if (report.health.enabled) {
-    const auto& h = report.health;
-    w.begin_object("health")
-        .field("samples", h.samples)
-        .field("alerts", h.alerts)
-        .field("critical_alerts", h.critical_alerts)
-        .field("probe_s", h.probe_s)
-        .field("step_s", h.step_s)
-        .field("probe_overhead", h.probe_overhead)
-        .field("energy_drift", h.energy_drift)
-        .field("max_gauss_residual", h.max_gauss_residual)
-        .field("max_continuity_residual", h.max_continuity_residual)
-        .field("nan_cells", h.nan_cells)
-        .field("last_alert", h.last_alert)
-        .end_object();
-  }
-
-  if (report.beam.enabled) {
-    const auto& b = report.beam;
-    w.begin_object("beam_physics")
-        .field("records", b.records)
-        .field("probe_s", b.probe_s)
-        .field("step_s", b.step_s)
-        .field("probe_overhead", b.probe_overhead)
-        .field("emit_ny", b.emit_ny)
-        .field("beam_charge_C", b.beam_charge_C)
-        .field("mean_gamma", b.mean_gamma)
-        .field("peak_energy_J", b.peak_energy_J)
-        .field("energy_spread", b.energy_spread)
-        .field("laser_a0", b.laser_a0)
-        .field("wakefield_V_m", b.wakefield_V_m)
-        .field("field_energy_J", b.field_energy_J)
-        .field("stream_frames", b.stream_frames)
-        .field("stream_bytes", b.stream_bytes)
-        .end_object();
-  }
-
-  if (report.memory.enabled) {
-    const auto& m = report.memory;
-    w.begin_object("memory")
-        .field("total_bytes", m.total_bytes)
-        .field("high_water_bytes", m.high_water_bytes)
-        .field("fields_bytes", m.fields_bytes)
-        .field("particles_bytes", m.particles_bytes)
-        .field("mr_bytes", m.mr_bytes)
-        .field("pml_bytes", m.pml_bytes)
-        .field("checkpoint_hw_bytes", m.checkpoint_hw_bytes)
-        .field("insitu_stream_bytes", m.insitu_stream_bytes)
-        .field("alloc_count", m.alloc_count)
-        .field("probe_s", m.probe_s)
-        .field("step_s", m.step_s)
-        .field("probe_overhead", m.probe_overhead);
-    if (m.has_savings) {
-      w.field("mr_savings_measured", m.measured.factor)
-          .field("mr_savings_analytic", m.analytic.factor)
-          .field("mr_savings_disagreement", m.savings_disagreement)
-          .field("mr_actual_bytes", m.measured.actual_bytes)
-          .field("mr_uniform_fine_bytes", m.measured.uniform_fine_bytes);
-    }
-    if (m.oom.peak_bytes > 0) {
-      w.field("rank_peak_bytes", m.oom.peak_bytes)
-          .field("rank_peak_rank", m.oom.peak_rank)
-          .field("rank_peak_step", m.oom.peak_step)
-          .field("budget_bytes", m.budget_bytes)
-          .field("oom_predicted", m.oom.predicted)
-          .field("oom_headroom", m.oom.headroom);
-    }
-    w.end_object();
-  }
-
-  if (report.kernel.enabled) {
-    const auto& k = report.kernel;
-    w.begin_object("kernel_headroom")
-        .field("machine", k.machine)
-        .field("sampled_invocations", k.sampled_invocations)
-        .field("dropped_invocations", k.dropped_invocations)
-        .field("probe_s", k.probe_s)
-        .field("step_s", k.step_s)
-        .field("probe_overhead", k.probe_overhead);
-    w.begin_array("kernels");
-    for (const auto& r : k.kernels) {
-      w.begin_object()
-          .field("kernel", r.kernel)
-          .field("invocations", r.invocations)
-          .field("particles", r.particles)
-          .field("time_s", r.time_s)
-          .field("flops", r.flops)
-          .field("bytes", r.bytes)
-          .field("intensity", r.intensity)
-          .field("gbyte_s", r.gbyte_s)
-          .field("roof_tflops", r.roof_tflops)
-          .field("attained_tflops", r.attained_tflops)
-          .field("attainment", r.attainment)
-          .field("memory_bound", r.memory_bound)
-          .end_object();
-    }
-    w.end_array();
-    const auto& l = k.locality;
-    w.begin_object("locality")
-        .field("tiles", k.locality_tiles)
-        .field("particles", l.particles)
-        .field("pairs", l.pairs)
-        .field("inversion_fraction", l.inversion_fraction)
-        .field("mean_stride_cells", l.mean_stride_cells)
-        .field("p99_stride_cells", l.p99_stride_cells)
-        .field("line_reuse", l.line_reuse)
-        .field("sorted_line_reuse", l.sorted_line_reuse)
-        .field("predicted_sort_speedup", l.predicted_sort_speedup)
-        .end_object();
-    w.begin_object("overlap")
-        .field("steps", k.overlap_steps)
-        .field("mean_post_s", k.mean_post_s)
-        .field("mean_wait_s", k.mean_wait_s)
-        .field("mean_interior_compute_s", k.mean_interior_compute_s)
-        .field("mean_overlap_headroom_s", k.mean_overlap_headroom_s)
-        .end_object();
-    w.end_object();
-  }
-
-  if (!report.roofline.empty()) {
-    w.field("machine", report.machine);
-    w.begin_array("roofline");
-    for (const auto& k : report.roofline) {
-      w.begin_object()
-          .field("kernel", k.kernel)
-          .field("flops", k.flops)
-          .field("bytes", k.bytes)
-          .field("intensity", k.intensity)
-          .field("peak_tflops", k.peak_tflops)
-          .field("peak_tbyte_s", k.peak_tbyte_s)
-          .field("roof_tflops", k.roof_tflops)
-          .field("memory_bound", k.memory_bound)
-          .field("time_s", k.time_s)
-          .field("attained_tflops", k.attained_tflops)
-          .field("attainment", k.attainment)
-          .end_object();
-    }
-    w.end_array();
-  }
+  for (const auto& sec : report.sections) { write_section(w, sec); }
   w.end_object();
   os << '\n';
 }

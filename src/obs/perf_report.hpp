@@ -1,24 +1,22 @@
 #pragma once
 
-// perf_report — the automated performance report over obs::analysis: per
-// step the critical path (rank chain + composition), the parallel-overhead
-// decomposition, straggler ranks, optionally a scaling sweep's loss terms
-// and a roofline placement. Two serializations of the same report:
-//
-//  - Markdown (write_markdown): the human artifact — summary table, the
-//    worst steps' critical-path chains, loss breakdown per node count.
-//  - JSON (write_json): bench kind "attribution", schema-validated by
-//    obs::benchdiff and baseline-gated in bench_smoke like every other
-//    BENCH_*.json.
-//
-// Producers: the perf_report CLI (bench/perf_report.cpp) over a recorder
-// dump, the scaling benches under --attribution, and examples
-// (laser_wakefield) directly through this API.
+// perf_report — the automated performance report of a run: the attribution
+// core over obs::analysis (per recorded step the critical path and the
+// parallel-overhead decomposition, straggler ranks, optionally a scaling
+// sweep's loss terms; the recorder runs on the modeled cluster clock and the
+// headings say so) plus one Section per source (measured step anatomy,
+// health, beam physics, memory, kernel headroom, roofline), each built once
+// by its builder below. write_markdown (the human artifact; the step anatomy
+// comes right after the title) and write_json (bench kind "attribution",
+// schema-validated and baseline-gated in bench_smoke) each walk the sections
+// once. Producers: the perf_report CLI over a recorder dump, the scaling
+// benches under --attribution, and scenario::assemble_perf_report.
 
 #include <cstdint>
 #include <iosfwd>
-#include <limits>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "src/obs/analysis.hpp"
@@ -38,156 +36,79 @@ namespace mrpic::obs {
 
 class Profiler;
 
-// Summary of a run's simulation-health telemetry (src/health) for the perf
-// report: ledger/alert counts, probe cost against the step cost (so the
-// overhead of the in-situ self-diagnostics is an explicit line item, same
-// idea as the paper's "light self-diagnostics" accounting), and the headline
-// invariants over the sampled window.
-struct HealthSection {
-  bool enabled = false;
-  std::int64_t samples = 0;
-  std::int64_t alerts = 0;
-  std::int64_t critical_alerts = 0;
-  double probe_s = 0;          // total seconds inside the "health" region
-  double step_s = 0;           // total seconds inside the "step" region
-  double probe_overhead = 0;   // probe_s / step_s (0 when step_s == 0)
-  // Relative total-energy drift between the first and last ledger sample.
-  double energy_drift = std::numeric_limits<double>::quiet_NaN();
-  double max_gauss_residual = std::numeric_limits<double>::quiet_NaN();
-  double max_continuity_residual = std::numeric_limits<double>::quiet_NaN();
-  std::int64_t nan_cells = 0;  // worst single NaN-scan result
-  std::string last_alert;      // message of the most recent alert ("" = none)
+// printf-format a number for humans: "n/a" when it is not finite, and never
+// "-0". Every report cell and every beam line on stdout goes through it.
+std::string fmt_value(double v, const char* printf_fmt = "%.3g");
+
+// One labelled value. Markdown renders "B" units as bytes, "%" as a
+// fraction in percent, "us" as seconds in microseconds, integer lists as a
+// rank chain, anything else as %.3g plus the unit.
+struct Field {
+  std::string key;    // JSON member name ("" = Markdown only)
+  std::string label;  // Markdown label / column header ("" = JSON only)
+  using Value =
+      std::variant<double, std::int64_t, bool, std::string, std::vector<std::int64_t>>;
+  Value value;
+  std::string unit{};
+
+  double number() const;  // numeric value (bool 0/1; NaN otherwise)
 };
 
-// Collapse a monitor's history/alerts (plus the profiler's "health"/"step"
-// region totals for the overhead split) into a HealthSection.
-HealthSection summarize_health(const health::HealthMonitor& mon, const Profiler& prof);
-
-// Summary of a run's in-situ physics telemetry (src/insitu) for the perf
-// report: the paper's Fig. 6/7 beam deliverables as headline numbers, plus
-// the diagnostics' cost against the step cost (the "insitu" profiler region)
-// and the streaming exporter's volume.
-struct BeamPhysicsSection {
-  bool enabled = false;
-  std::int64_t records = 0;     // reduced-diagnostic records collected
-  double probe_s = 0;           // total seconds inside the "insitu" region
-  double step_s = 0;            // total seconds inside the "step" region
-  double probe_overhead = 0;    // probe_s / step_s (0 when step_s == 0)
-
-  // Headline beam metrics: latest record of each diagnostic (NaN = that
-  // diagnostic never ran).
-  double emit_ny = std::numeric_limits<double>::quiet_NaN();    // [m rad]
-  double beam_charge_C = std::numeric_limits<double>::quiet_NaN();
-  double mean_gamma = std::numeric_limits<double>::quiet_NaN();
-  double peak_energy_J = std::numeric_limits<double>::quiet_NaN();
-  double energy_spread = std::numeric_limits<double>::quiet_NaN();
-  double laser_a0 = std::numeric_limits<double>::quiet_NaN();
-  double wakefield_V_m = std::numeric_limits<double>::quiet_NaN();
-  double field_energy_J = std::numeric_limits<double>::quiet_NaN();
-
-  // Streaming exporter (0s when streaming is off).
-  std::int64_t stream_frames = 0;
-  std::int64_t stream_bytes = 0;
+// A JSON array of objects; in Markdown a table whose columns are the
+// labelled fields. Consecutive rows labelled by consecutive integers (steps)
+// whose other cells are identical render as one "a–b" row.
+struct Table {
+  std::string key;
+  std::vector<std::vector<Field>> rows{};
 };
 
-// Collapse a registry's history (plus the profiler's "insitu"/"step" totals
-// and, when streaming, the writer's counters) into a BeamPhysicsSection.
-BeamPhysicsSection summarize_insitu(const insitu::Registry& reg, const Profiler& prof,
-                                    const insitu::StreamWriter* stream = nullptr);
+// One report section. Markdown: "## heading" ("### " when nested), the
+// note, a label/value table of the labelled fields, the tables, then the
+// sub-sections. JSON: object `key` holding the fields, the tables as arrays
+// and the sub-sections as objects ("" key: those sit in the parent object).
+struct Section {
+  std::string key;
+  std::string name;     // name on the driver's "perf report sections:" line
+  std::string heading;
+  std::string note{};   // one Markdown paragraph ("" = none)
+  bool first = false;   // rendered right after the title, ahead of the core
+  std::vector<Field> fields{};
+  std::vector<Table> tables{};
+  std::vector<Section> subsections{};
 
-// Summary of a run's memory telemetry (obs::MemoryLedger) for the perf
-// report: live/high-water bytes per subsystem, the measured-vs-analytic MR
-// memory-savings factors (the paper's Fig. 6 affordability argument), the
-// probe's own cost, and — when a recorder with resident-bytes lanes and a
-// budget are supplied — the per-rank peak and first-rank-to-OOM prediction.
-struct MemorySection {
-  bool enabled = false;
-  std::int64_t total_bytes = 0;       // ledger total at summary time
-  std::int64_t high_water_bytes = 0;  // high-water of the total
-  std::int64_t fields_bytes = 0;      // prefix "fields"
-  std::int64_t particles_bytes = 0;   // prefix "particles"
-  std::int64_t mr_bytes = 0;          // prefix "mr"
-  std::int64_t pml_bytes = 0;         // prefix "pml"
-  std::int64_t checkpoint_hw_bytes = 0; // high-water of "checkpoint" staging
-  std::int64_t insitu_stream_bytes = 0; // "insitu.stream"
-  std::int64_t alloc_count = 0;
-  double probe_s = 0;                 // total seconds inside "memory" region
-  double step_s = 0;                  // total seconds inside "step" region
-  double probe_overhead = 0;          // probe_s / step_s (0 when step_s == 0)
-
-  // MR savings (factor <= 0: not computed, e.g. no patch).
-  MrSavings measured;
-  MrSavings analytic;
-  bool has_savings = false;
-  // |measured.factor - analytic.factor| / analytic.factor (NaN w/o savings).
-  double savings_disagreement = std::numeric_limits<double>::quiet_NaN();
-
-  // Per-rank resident model (zeroed when no recorder lanes were fed).
-  double budget_bytes = 0;            // 0 = no budget configured
-  OomPrediction oom;                  // peak_bytes > 0 iff lanes existed
+  Section& add(std::string key, std::string label, Field::Value v, std::string unit = "");
+  double number(std::string_view key) const;  // NaN when absent
 };
 
-// Collapse the ledger (plus the profiler's "memory"/"step" totals) into a
-// MemorySection. Optional extras: measured/analytic savings pair, and a
-// recorder whose resident-bytes lanes drive the OOM prediction against
-// `budget_bytes` (ignored when <= 0 except for the peak lookup).
-MemorySection summarize_memory(const MemoryLedger& ledger, const Profiler& prof,
-                               const MrSavings* measured = nullptr,
-                               const MrSavings* analytic = nullptr,
-                               const RankRecorder* rec = nullptr,
-                               double budget_bytes = 0);
+// Measured step anatomy from the profiler tree: one row per direct
+// sub-region of "step" (stages and probes alike) with total seconds, ms/step
+// and share of the step, plus an "other" row (the step's own time outside
+// every sub-region) so the rows sum to the step's inclusive time.
+Section step_anatomy_section(const Profiler& prof);
 
-// Summary of a run's kernel-grain telemetry (obs::KernelProbe + the
-// cluster's halo phase timeline) for the perf report: per-kernel roofline
-// placement over the sampled invocations, the locality model's predicted
-// cell-binned-sort payoff, the mean per-step overlap headroom, and the
-// probe's own cost — the "## Kernel headroom" measuring stick for the
-// sort/SIMD/overlap work of ROADMAP item 2.
-struct KernelSection {
-  bool enabled = false;
-  std::string machine;                 // roofline machine name
-  std::int64_t sampled_invocations = 0;
-  std::int64_t dropped_invocations = 0;
+// Simulation health (src/health): alert counts, sampled-window invariants.
+Section health_section(const health::HealthMonitor& mon);
 
-  // Per-kind aggregate placed on the machine roofline (order: gather,
-  // push, deposit; zero-invocation kinds are skipped).
-  struct KernelRow {
-    std::string kernel;
-    std::int64_t invocations = 0;
-    std::int64_t particles = 0;
-    double time_s = 0;
-    double flops = 0;
-    double bytes = 0;
-    double intensity = 0;       // flops/byte (analytic model)
-    double gbyte_s = 0;         // achieved bandwidth
-    double roof_tflops = 0;
-    double attained_tflops = 0;
-    double attainment = 0;
-    bool memory_bound = false;
-  };
-  std::vector<KernelRow> kernels;
+// Beam physics (src/insitu): the latest record of each reduced diagnostic
+// (n/a when it never ran or the beam is empty), the streamed volume.
+Section beam_section(const insitu::Registry& reg, const insitu::StreamWriter* stream);
 
-  // Merged locality sample + sort-payoff prediction.
-  TileLocality locality;
-  std::int64_t locality_tiles = 0;
+// Memory (obs::MemoryLedger): bytes per subsystem, optionally the measured
+// vs analytic MR savings and, from a recorder's resident-bytes lanes, the
+// per-rank peak and first-rank-to-OOM prediction (`budget_bytes` 0 = none).
+Section memory_section(const MemoryLedger& ledger, const MrSavings* measured = nullptr,
+                       const MrSavings* analytic = nullptr,
+                       const RankRecorder* rec = nullptr, double budget_bytes = 0);
 
-  // Mean per-step halo phase split of the critical rank (zeros when no
-  // recorder steps carried phase data).
-  double mean_post_s = 0;
-  double mean_wait_s = 0;
-  double mean_interior_compute_s = 0;
-  double mean_overlap_headroom_s = 0;
-  std::int64_t overlap_steps = 0;      // recorder steps with phase data
+// Kernel headroom (obs::KernelProbe + the recorder's halo phase lanes):
+// per-kernel roofline placement, predicted sort payoff, the critical rank's
+// overlap headroom, and the probe's self time (spent inside "particles").
+Section kernel_section(const KernelProbe& probe, const RankRecorder* rec = nullptr);
 
-  double probe_s = 0;          // probe self time + "kernel_obs" region
-  double step_s = 0;           // total seconds inside the "step" region
-  double probe_overhead = 0;   // probe_s / step_s (0 when step_s == 0)
-};
-
-// Collapse a kernel probe (plus the profiler's "kernel_obs"/"step" totals
-// and, when given, a recorder's halo phase lanes) into a KernelSection.
-KernelSection summarize_kernels(const KernelProbe& probe, const Profiler& prof,
-                                const RankRecorder* rec = nullptr);
+// Roofline placement of analytic per-stage flop/byte counts on `machine`
+// (JSON: top-level "machine" and "roofline").
+Section roofline_section(const std::string& machine,
+                         const std::vector<analysis::KernelRoofline>& kernels);
 
 struct PerfReportOptions {
   std::string title = "perf report";
@@ -206,21 +127,16 @@ struct PerfReport {
   analysis::CriticalPathSummary summary;
   std::vector<analysis::LossTerms> step_overhead;   // per-step decomposition
   std::vector<analysis::LossTerms> scaling_losses;  // optional sweep terms
-  std::vector<analysis::KernelRoofline> roofline;   // optional placement
-  std::string machine;                              // roofline machine name
-  HealthSection health;                             // optional (health.enabled)
-  BeamPhysicsSection beam;                          // optional (beam.enabled)
-  MemorySection memory;                             // optional (memory.enabled)
-  KernelSection kernel;                             // optional (kernel.enabled)
+  std::vector<Section> sections;                    // in the order added
   int top_steps = 5;
 
   // Steps ordered by descending critical-path makespan.
   std::vector<int> worst_steps() const;
+  const Section* section(std::string_view key) const;
 };
 
-// Build the per-step part (critical paths + overhead decomposition) from a
-// recorder. Sweep losses / roofline are attached by the caller when
-// available (they need context the recorder does not carry).
+// Build the attribution core from a recorder. Sweep losses and sections are
+// attached by the caller (they need context the recorder does not carry).
 PerfReport build_perf_report(const RankRecorder& rec, const PerfReportOptions& opt = {});
 
 void write_markdown(const PerfReport& report, std::ostream& os);

@@ -191,6 +191,40 @@ std::map<std::string, RegionStats> Profiler::flat_totals() const {
   return out;
 }
 
+double RegionBreakdown::seconds(std::string_view part) const {
+  for (const auto& [name, s] : parts) {
+    if (name == part) { return s.inclusive_s; }
+  }
+  return 0;
+}
+
+double RegionBreakdown::share(std::string_view part) const {
+  return total.inclusive_s > 0 ? seconds(part) / total.inclusive_s : 0;
+}
+
+RegionBreakdown Profiler::breakdown(std::string_view region) const {
+  const auto merge = [](RegionStats& dst, const RegionStats& s) {
+    dst.inclusive_s += s.inclusive_s;
+    dst.exclusive_s += s.exclusive_s;
+    dst.count += s.count;
+    dst.min_s = std::min(dst.min_s, s.min_s);
+    dst.max_s = std::max(dst.max_s, s.max_s);
+  };
+  RegionBreakdown b;
+  const auto nodes = snapshot();
+  for (const Node& n : nodes) {
+    if (n.name != region) { continue; }
+    merge(b.total, n.stats);
+    for (int c : n.children) {
+      auto it = std::find_if(b.parts.begin(), b.parts.end(),
+                             [&](const auto& p) { return p.first == nodes[c].name; });
+      if (it == b.parts.end()) { it = b.parts.insert(it, {nodes[c].name, RegionStats{}}); }
+      merge(it->second, nodes[c].stats);
+    }
+  }
+  return b;
+}
+
 namespace {
 
 void report_node(std::ostream& os, const std::vector<Profiler::Node>& nodes, int idx,

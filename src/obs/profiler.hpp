@@ -30,6 +30,20 @@ struct RegionStats {
   double mean_s() const { return count > 0 ? inclusive_s / count : 0.0; }
 };
 
+// The measured anatomy of one region: its stats merged over every node with
+// that name, and its direct sub-regions merged by name in first-seen (stage)
+// order. total.exclusive_s is the region's own time outside every part, so
+// the parts plus that remainder sum to total.inclusive_s. The perf report's
+// step anatomy and the probe-overhead benches read breakdown("step").
+struct RegionBreakdown {
+  RegionStats total;
+  std::vector<std::pair<std::string, RegionStats>> parts;
+  // Inclusive seconds of one direct sub-region (0 when it never ran).
+  double seconds(std::string_view part) const;
+  // seconds(part) / total.inclusive_s (0 when the region never ran).
+  double share(std::string_view part) const;
+};
+
 // One completed region instance (recorded only while tracing is enabled).
 struct TraceEvent {
   std::string name;
@@ -110,6 +124,9 @@ public:
   // Flat per-name totals: leaf name -> (inclusive seconds, count), summed
   // over every path sharing the name.
   std::map<std::string, RegionStats> flat_totals() const;
+
+  // Anatomy of the region named `region` (see RegionBreakdown).
+  RegionBreakdown breakdown(std::string_view region) const;
 
   // Indented tree, children sorted by descending inclusive time, with
   // count / mean / min / max columns.

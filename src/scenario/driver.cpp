@@ -322,10 +322,13 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   if (sim.last_spectrum() != nullptr && sim.last_beam_moments() != nullptr) {
     const auto& beam = sim.last_spectrum()->beam;
     const auto& mom = *sim.last_beam_moments();
-    std::printf("beam: spectral peak %.2f MeV (spread %.1f%%), %.3f pC/m, "
-                "norm. emittance %.3f mm mrad, <gamma> %.1f\n",
-                beam.peak_energy / mev, 100 * beam.energy_spread,
-                std::abs(mom.charge_C) * 1e12, mom.emit_ny * 1e6, mom.mean_gamma);
+    std::printf("beam: spectral peak %s MeV (spread %s), %s pC/m, "
+                "norm. emittance %s mm mrad, <gamma> %s\n",
+                obs::fmt_value(beam.peak_energy / mev, "%.2f").c_str(),
+                obs::fmt_value(100 * beam.energy_spread, "%.1f%%").c_str(),
+                obs::fmt_value(std::abs(mom.charge_C) * 1e12, "%.3f").c_str(),
+                obs::fmt_value(mom.emit_ny * 1e6, "%.3f").c_str(),
+                obs::fmt_value(mom.mean_gamma, "%.1f").c_str());
   }
 
   history.write(out.path(pfx + "_history.csv"));
@@ -336,53 +339,10 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   sim.rank_recorder().write_rank_heatmap_csv(out.path("rank_heatmap.csv"));
   obs::write_recorder_json(sim.rank_recorder(), out.path(pfx + "_ranks.json"));
 
-  obs::PerfReportOptions ropt;
-  ropt.title = spec.title.empty() ? spec.name : spec.name + " — " + spec.title;
-  ropt.latency_s = cluster::CommModel{}.latency_s;
-  auto report = obs::build_perf_report(sim.rank_recorder(), ropt);
-  std::string sections = "attribution";
-  if (opt.health) {
-    report.health = obs::summarize_health(*sim.health(), sim.profiler());
-    sections += ", health";
-  }
-  if (opt.insitu) {
-    report.beam = obs::summarize_insitu(*sim.insitu(), sim.profiler(), sim.insitu_stream());
-    sections += ", beam physics";
-  }
+  const auto report = assemble_perf_report(
+      sim, opt, spec.title.empty() ? spec.name : spec.name + " — " + spec.title);
   if (opt.memory) {
-    const auto measured = sim.measured_mr_savings();
-    const auto analytic = obs::analytic_mr_savings(sim.mr_savings_inputs());
-    core::MemoryObsConfig mcfg;
-    mcfg.interval = 1;
-    mcfg.node_budget_gb = opt.node_budget_gb;
-    report.memory = obs::summarize_memory(obs::memory_ledger(), sim.profiler(), &measured,
-                                          &analytic, &sim.rank_recorder(),
-                                          mcfg.budget_bytes());
     sim.rank_recorder().write_memory_heatmap_csv(out.path("memory_heatmap.csv"));
-    sections += ", memory";
-  }
-  if (opt.kernel_obs && sim.kernel_probe() != nullptr) {
-    report.kernel = obs::summarize_kernels(*sim.kernel_probe(), sim.profiler(),
-                                           &sim.rank_recorder());
-    sections += ", kernel headroom";
-  }
-  {
-    const auto& rep = sim.last_step_report();
-    perf::FlopCounter fc;
-    fc.record("gather", particles::gather_flops_per_particle(spec.sim.shape_order, 2) *
-                            rep.particles_pushed);
-    fc.record("push", particles::push_flops_per_particle() * rep.particles_pushed);
-    fc.record("deposition",
-              particles::deposit_flops_per_particle(spec.sim.shape_order, 2) *
-                  rep.particles_pushed);
-    fc.record("field_solve",
-              fields::FDTDSolver<2>::flops_per_cell() * rep.cells_advanced);
-    report.machine = "Summit";
-    report.roofline = obs::analysis::roofline(
-        fc,
-        obs::analysis::pic_kernel_bytes(static_cast<double>(rep.particles_pushed),
-                                        static_cast<double>(rep.cells_advanced)),
-        perf::machine_by_name(report.machine));
   }
   obs::write_markdown(report, out.path(pfx + "_perf_report.md"));
   obs::write_json(report, out.path(pfx + "_perf_report.json"));
@@ -400,6 +360,8 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
               "%s_ranks.json, %s_perf_report.{md,json} in %s/\n",
               pfx.c_str(), pfx.c_str(), pfx.c_str(), pfx.c_str(), pfx.c_str(),
               out.dir().c_str());
+  std::string sections = "attribution";
+  for (const auto& sec : report.sections) { sections += ", " + sec.name; }
   std::printf("perf report sections: %s\n", sections.c_str());
   std::printf("run %s: status %s (%lld timeline events), manifest %s\n", run_id.c_str(),
               status.c_str(), static_cast<long long>(elog.num_events()),
@@ -410,6 +372,46 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
               static_cast<long long>(rep.particles_pushed),
               static_cast<long long>(rep.cells_advanced));
   return exit_code;
+}
+
+obs::PerfReport assemble_perf_report(core::Simulation<2>& sim, const RunOptions& opt,
+                                     const std::string& title) {
+  obs::PerfReportOptions ropt;
+  ropt.title = title;
+  ropt.latency_s = cluster::CommModel{}.latency_s;
+  auto report = obs::build_perf_report(sim.rank_recorder(), ropt);
+  if (opt.health) { report.sections.push_back(obs::health_section(*sim.health())); }
+  if (opt.insitu) {
+    report.sections.push_back(obs::beam_section(*sim.insitu(), sim.insitu_stream()));
+  }
+  if (opt.memory) {
+    const auto measured = sim.measured_mr_savings();
+    const auto analytic = obs::analytic_mr_savings(sim.mr_savings_inputs());
+    core::MemoryObsConfig mcfg;
+    mcfg.node_budget_gb = opt.node_budget_gb;
+    report.sections.push_back(obs::memory_section(obs::memory_ledger(), &measured, &analytic,
+                                                  &sim.rank_recorder(), mcfg.budget_bytes()));
+  }
+  if (opt.kernel_obs && sim.kernel_probe() != nullptr) {
+    report.sections.push_back(obs::kernel_section(*sim.kernel_probe(), &sim.rank_recorder()));
+  }
+  report.sections.push_back(obs::step_anatomy_section(sim.profiler()));
+
+  // Roofline: canonical per-element flop counts x the last step's volume.
+  const auto& rep = sim.last_step_report();
+  const int order = sim.config().shape_order;
+  const auto np = static_cast<double>(rep.particles_pushed);
+  perf::FlopCounter fc;
+  fc.record("gather", particles::gather_flops_per_particle(order, 2) * np);
+  fc.record("push", particles::push_flops_per_particle() * np);
+  fc.record("deposition", particles::deposit_flops_per_particle(order, 2) * np);
+  fc.record("field_solve", fields::FDTDSolver<2>::flops_per_cell() * rep.cells_advanced);
+  report.sections.push_back(obs::roofline_section(
+      "Summit",
+      obs::analysis::roofline(
+          fc, obs::analysis::pic_kernel_bytes(np, static_cast<double>(rep.cells_advanced)),
+          perf::machine_by_name("Summit"))));
+  return report;
 }
 
 int run_scenario_main(int argc, char** argv, const char* forced_scenario) {

@@ -22,6 +22,7 @@
 #include <string>
 
 #include "src/diag/output_dir.hpp"
+#include "src/obs/perf_report.hpp"
 #include "src/scenario/scenario_spec.hpp"
 
 namespace mrpic::scenario {
@@ -51,6 +52,14 @@ void print_usage(const char* prog);
 // exception); run.json records the matching status either way.
 int run_scenario(const ScenarioSpec& spec, const RunOptions& opt,
                  const diag::OutputDir& out);
+
+// A run's perf report, assembled in one place for every driver: the
+// attribution core over the rank recorder, one section per telemetry flag in
+// `opt` (health, insitu -> beam physics, memory, kernel_obs -> kernel
+// headroom), the measured step anatomy, and a roofline placement of the last
+// step's PIC stages on Summit. Section names read in that order.
+obs::PerfReport assemble_perf_report(core::Simulation<2>& sim, const RunOptions& opt,
+                                     const std::string& title);
 
 // Full driver main: parse argv (including --outdir via diag::OutputDir),
 // handle --list, look up the scenario and run it. When `forced_scenario`

@@ -60,6 +60,19 @@ TEST(Spectrum, AnalyzeBeamPeakAndSpread) {
   EXPECT_NEAR(q.energy_spread, 0.118, 0.02);
 }
 
+TEST(Spectrum, AnalyzeBeamOfEmptySpectrumHasNoPeak) {
+  // No counts: no peak, so no peak energy and no spread (not the centre of
+  // bin 0), and zero charge.
+  Spectrum s;
+  s.e_min = 1;
+  s.e_max = 201;
+  s.counts.assign(200, 0.0);
+  const auto q = analyze_beam(s, 1.0);
+  EXPECT_TRUE(std::isnan(q.peak_energy));
+  EXPECT_TRUE(std::isnan(q.energy_spread));
+  EXPECT_EQ(q.charge, 0.0);
+}
+
 TEST(Spectrum, ChargeAboveThreshold) {
   const auto geom = make_geom();
   particles::ParticleContainer<2> pc(particles::Species::electron(),

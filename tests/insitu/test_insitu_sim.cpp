@@ -16,6 +16,7 @@
 
 #include "src/core/simulation.hpp"
 #include "src/insitu/registry.hpp"
+#include "src/obs/json.hpp"
 #include "src/obs/perf_report.hpp"
 
 using namespace mrpic;
@@ -148,21 +149,66 @@ TEST(InsituSmoke, PipelineEndToEnd) {
   ASSERT_NE(sim.last_beam_moments(), nullptr);
   EXPECT_GT(sim.last_beam_moments()->count, 0);
 
-  // The perf-report section summarizes the same registry + stream counters.
-  const auto section = obs::summarize_insitu(reg, sim.profiler(), sw);
-  EXPECT_TRUE(section.enabled);
-  EXPECT_EQ(section.records, reg.num_records());
-  EXPECT_GT(section.probe_s, 0.0);
-  EXPECT_TRUE(std::isfinite(section.emit_ny));
-  EXPECT_EQ(section.stream_frames, sw->frames_written());
-
+  // The perf-report section summarizes the same registry + stream counters;
+  // the diagnostics' cost is the "insitu" row of the measured step anatomy.
   obs::PerfReport report;
   report.title = "insitu smoke";
-  report.beam = section;
-  std::ostringstream md;
+  report.sections.push_back(obs::beam_section(reg, sw));
+  report.sections.push_back(obs::step_anatomy_section(sim.profiler()));
+  std::ostringstream md, js;
   obs::write_markdown(report, md);
   EXPECT_NE(md.str().find("## Beam physics"), std::string::npos);
+  obs::write_json(report, js);
+  const auto doc = obs::json::parse(js.str());
+  const auto& section = doc["beam_physics"];
+  ASSERT_TRUE(section.is_object());
+  EXPECT_EQ(section["records"].as_int(), reg.num_records());
+  EXPECT_TRUE(section["emit_ny"].is_number());  // a non-finite value would be null
+  EXPECT_EQ(section["stream_frames"].as_int(), sw->frames_written());
+  double insitu_s = 0;
+  for (const auto& row : doc["anatomy"]["regions"].as_array()) {
+    if (row["region"].as_string() == "insitu") { insitu_s = row["total_s"].as_number(); }
+  }
+  EXPECT_GT(insitu_s, 0.0);
   cleanup(tag);
+}
+
+TEST(InsituSmoke, EmptyBeamRendersNotAvailable) {
+  // A 50 eV plasma has no particle above 0.6 MeV: the beam and its
+  // spectrum are empty, so emittance, <gamma> and the spectral peak do not
+  // exist and the charge is zero.
+  auto icfg = smoke_config(unique_tag("insitu_empty_beam"));
+  icfg.series_path.clear();
+  icfg.stream_interval = 0;
+  icfg.beam_e_min_J = icfg.spectrum_e_min_J = 1e-13;
+  icfg.spectrum_e_max_J = 1e-12;
+  core::Simulation<2> sim(plasma_config(16));
+  sim.enable_insitu(icfg);
+  run_plasma(sim, 4);
+  sim.insitu()->collect(sim.step_count(), sim.time(), /*force=*/true);
+  ASSERT_NE(sim.insitu()->last("beam"), nullptr);
+  ASSERT_NE(sim.insitu()->last("spectrum"), nullptr);
+
+  obs::PerfReport report;
+  report.title = "empty beam";
+  report.sections.push_back(obs::beam_section(*sim.insitu(), nullptr));
+  std::ostringstream md, js;
+  obs::write_markdown(report, md);
+  const std::string beam_md = md.str().substr(md.str().find("## Beam physics"));
+  EXPECT_EQ(beam_md.find("nan"), std::string::npos) << beam_md;
+  EXPECT_EQ(beam_md.find("| -0"), std::string::npos) << beam_md;
+  EXPECT_NE(beam_md.find("| spectral peak energy | n/a |"), std::string::npos) << beam_md;
+  EXPECT_NE(beam_md.find("| normalized emittance (y) | n/a |"), std::string::npos);
+  EXPECT_NE(beam_md.find("| beam charge | 0 C |"), std::string::npos) << beam_md;
+
+  obs::write_json(report, js);
+  const auto doc = obs::json::parse(js.str());
+  const auto& beam = doc["beam_physics"];
+  EXPECT_TRUE(beam["peak_energy_J"].is_null());
+  EXPECT_TRUE(beam["energy_spread"].is_null());
+  EXPECT_TRUE(beam["emit_ny"].is_null());
+  ASSERT_TRUE(beam["beam_charge_C"].is_number());
+  EXPECT_FALSE(std::signbit(beam["beam_charge_C"].as_number()));
 }
 
 TEST(InsituSmoke, ReplayAppendKeepsSeriesCanonicalizable) {

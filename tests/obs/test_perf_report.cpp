@@ -6,6 +6,7 @@
 #include "src/obs/bench_diff.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/perf_report.hpp"
+#include "src/obs/profiler.hpp"
 #include "src/obs/rank_recorder_io.hpp"
 
 namespace mrpic::obs {
@@ -173,6 +174,92 @@ TEST(PerfReport, MarkdownNamesChainAndComposition) {
   EXPECT_NE(md.find("Straggler ranks"), std::string::npos);
   EXPECT_NE(md.find("0 -> 1"), std::string::npos); // the rank chain
   EXPECT_NE(md.find("Per-step parallel overhead"), std::string::npos);
+}
+
+// The Markdown text between `heading` and the next "## " heading.
+std::string md_section(const std::string& md, const std::string& heading) {
+  const auto at = md.find(heading);
+  if (at == std::string::npos) { return ""; }
+  const auto end = md.find("\n## ", at + 1);
+  return md.substr(at, end == std::string::npos ? std::string::npos : end - at);
+}
+
+TEST(PerfReport, IdenticalStepsCollapseIntoOneRangeRow) {
+  RankRecorder rec(2);
+  for (std::int64_t s = 0; s < 10; ++s) {
+    RankStepBreakdown bd;
+    bd.step = s;
+    bd.ranks.resize(2);
+    for (int r = 0; r < 2; ++r) {
+      bd.ranks[r].rank = r;
+      bd.ranks[r].compute_s = r == 0 ? 3e-3 : 1e-3;
+      bd.ranks[r].comm_s = 0.5e-3;
+    }
+    rec.set_step(s);
+    rec.add_step(bd, {});
+  }
+  const auto report = build_perf_report(rec);
+  std::ostringstream md, js;
+  write_markdown(report, md);
+  const auto table = md_section(md.str(), "## Per-step parallel overhead");
+  ASSERT_FALSE(table.empty()) << md.str();
+  EXPECT_NE(table.find("modeled cluster clock"), std::string::npos);
+  int data_rows = 0;
+  std::istringstream lines(table);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("| ", 0) == 0 && line.rfind("| step", 0) != 0) { ++data_rows; }
+  }
+  EXPECT_EQ(data_rows, 1) << table;
+  EXPECT_NE(table.find("| 0–9 |"), std::string::npos) << table;
+  // The JSON keeps one loss record per step.
+  write_json(report, js);
+  EXPECT_EQ(json::parse(js.str())["loss"].as_array().size(), 10u);
+}
+
+TEST(PerfReport, StepAnatomyLeadsAndItsRowsSumToTheStep) {
+  Profiler prof;
+  const auto spin = [] {
+    volatile double x = 0;
+    for (int i = 0; i < 20000; ++i) { x = x + 1e-3 * i; }
+  };
+  for (int step = 0; step < 3; ++step) {
+    auto t = prof.scope("step");
+    spin();
+    { auto p = prof.scope("particles"); spin(); }
+    { auto h = prof.scope("health"); spin(); }
+    { auto p = prof.scope("particles"); spin(); }
+  }
+  auto report = build_perf_report(make_recorder());
+  report.sections.push_back(step_anatomy_section(prof));
+  std::ostringstream md, js;
+  write_markdown(report, md);
+  const auto first_heading = md.str().find("\n## ");
+  ASSERT_NE(first_heading, std::string::npos);
+  EXPECT_EQ(md.str().compare(first_heading + 1, 16, "## Step anatomy\n"), 0) << md.str();
+
+  write_json(report, js);
+  const auto doc = json::parse(js.str());
+  EXPECT_TRUE(benchdiff::validate_schema(doc).empty());
+  const auto& a = doc["anatomy"];
+  EXPECT_EQ(a["steps"].as_int(), 3);
+  const double step_s = a["step_s"].as_number();
+  ASSERT_GT(step_s, 0.0);
+  double sum = 0, share = 0;
+  std::vector<std::string> regions;
+  for (const auto& row : a["regions"].as_array()) {
+    regions.push_back(row["region"].as_string());
+    sum += row["total_s"].as_number();
+    share += row["share"].as_number();
+    EXPECT_NEAR(row["ms_per_step"].as_number(), 1e3 * row["total_s"].as_number() / 3, 1e-9);
+  }
+  EXPECT_EQ(regions, (std::vector<std::string>{"particles", "health", "other"}));
+  EXPECT_NEAR(sum, step_s, 1e-12 * step_s);
+  EXPECT_NEAR(share, 1.0, 1e-12);
+  // The one region-share query the benches use agrees with the rows.
+  const auto b = prof.breakdown("step");
+  EXPECT_NEAR(b.share("health") * step_s, a["regions"].as_array()[1]["total_s"].as_number(),
+              1e-15);
+  EXPECT_EQ(b.share("kernel_obs"), 0.0);
 }
 
 TEST(PerfReport, ScalingLossesReplaceStepOverheadInJson) {
