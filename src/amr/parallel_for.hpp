@@ -25,6 +25,18 @@ inline void parallel_for(std::int64_t n, F&& f) {
   for (std::int64_t i = 0; i < n; ++i) { f(i); }
 }
 
+// Iterate f(i) over [0, n) handing out one index at a time: for a few work
+// items of uneven cost (particle tiles), so that a thread that finishes
+// early takes the next item. f must not depend on which thread runs it
+// beyond thread_num()-indexed scratch.
+template <typename F>
+inline void parallel_for_dynamic(std::int64_t n, F&& f) {
+#ifdef MRPIC_USE_OPENMP
+#pragma omp parallel for schedule(dynamic, 1)
+#endif
+  for (std::int64_t i = 0; i < n; ++i) { f(i); }
+}
+
 // Iterate f(i, j) over a 2D box.
 template <typename F>
 inline void parallel_for(const Box<2>& bx, F&& f) {
@@ -73,6 +85,16 @@ inline int num_threads() {
   return omp_get_max_threads();
 #else
   return 1;
+#endif
+}
+
+// Index of the calling thread in the innermost parallel region, in
+// [0, num_threads()) (0 outside any region).
+inline int thread_num() {
+#ifdef MRPIC_USE_OPENMP
+  return omp_get_thread_num();
+#else
+  return 0;
 #endif
 }
 

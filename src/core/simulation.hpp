@@ -137,6 +137,7 @@ public:
   fields::Pml<DIM>* domain_pml() { return m_pml ? m_pml.get() : nullptr; }
   mr::MRPatch<DIM>* patch() { return m_patch ? m_patch.get() : nullptr; }
   const mr::MRPatch<DIM>* patch() const { return m_patch ? m_patch.get() : nullptr; }
+  const std::vector<laser::LaserAntenna<DIM>>& lasers() const { return m_lasers; }
 
   int num_species() const { return static_cast<int>(m_species.size()); }
   particles::ParticleContainer<DIM>& species_level0(int s) { return m_species[s].level0; }
@@ -420,9 +421,18 @@ private:
   std::int64_t m_swept_total = 0;
   bool m_window_shifted = false; // grid scrolled this step (Gauss probe skips)
 
-  // Reused per-tile scratch.
-  particles::GatheredFields m_gathered;
-  std::array<std::vector<Real>, DIM> m_x_old;
+  // Particles per chunk of the particle stage's fused gather -> push ->
+  // deposit loop. It bounds the per-thread scratch (6 + DIM Reals per
+  // particle, 18 KiB in 3D) independently of the tile size.
+  static constexpr std::size_t kParticleChunk = 256;
+  // One chunk's gathered fields and pre-push positions.
+  struct ChunkScratch {
+    particles::GatheredFields fields;
+    std::array<std::vector<Real>, DIM> x_old;
+  };
+  // One per OpenMP thread, indexed by thread_num(); created on the first
+  // step (never in init) with room for kParticleChunk particles.
+  std::vector<ChunkScratch> m_chunk_scratch;
 
   Real m_time = 0;
   Real m_dt = 0;

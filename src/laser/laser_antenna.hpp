@@ -62,6 +62,8 @@ public:
   bool active(Real t) const {
     return std::abs(t - m_cfg.t_peak) < 5 * m_cfg.duration;
   }
+  // The time from which active() stays false: t_peak + 5 duration.
+  Real off_time() const { return m_cfg.t_peak + 5 * m_cfg.duration; }
 
 private:
   LaserConfig m_cfg;

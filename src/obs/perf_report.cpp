@@ -256,7 +256,8 @@ Section step_anatomy_section(const Profiler& prof) {
   return a;
 }
 
-Section health_section(const health::HealthMonitor& mon) {
+Section health_section(const health::HealthMonitor& mon,
+                       std::optional<double> sources_off_s) {
   const auto history = mon.snapshot_history();
   const auto alerts = mon.snapshot_alerts();
   const auto critical = std::count_if(alerts.begin(), alerts.end(), [](const auto& a) {
@@ -264,8 +265,14 @@ Section health_section(const health::HealthMonitor& mon) {
   });
   double drift = kNaN, gauss = kNaN, continuity = kNaN;
   std::int64_t nan_cells = 0;
-  if (history.size() >= 2) {
-    const double e0 = history.front().total_energy_J();
+  // Samples are in time order: the drift window starts at the first one
+  // taken once every source is off.
+  const auto window = sources_off_s
+                          ? std::find_if(history.begin(), history.end(),
+                                         [&](const auto& s) { return s.time >= *sources_off_s; })
+                          : history.begin();
+  if (history.end() - window >= 2) {
+    const double e0 = window->total_energy_J();
     drift = (history.back().total_energy_J() - e0) / std::max(std::abs(e0), 1e-300);
   }
   const auto acc_max = [](double& dst, double v) {
@@ -282,8 +289,14 @@ Section health_section(const health::HealthMonitor& mon) {
   h.add("samples", "ledger samples", std::int64_t(history.size()))
       .add("alerts", "alerts", std::int64_t(alerts.size()))
       .add("critical_alerts", "critical alerts", std::int64_t(critical))
-      .add("energy_drift", "relative energy drift", drift)
-      .add("max_gauss_residual", "max Gauss residual", gauss)
+      .add("energy_drift", "relative energy drift", drift);
+  if (sources_off_s) {
+    h.add("energy_drift_from_s", "energy drift from (laser antenna off)", *sources_off_s, "s");
+    if (window == history.end()) {
+      h.add("energy_drift_note", "energy drift", std::string("laser antenna still emitting"));
+    }
+  }
+  h.add("max_gauss_residual", "max Gauss residual", gauss)
       .add("max_continuity_residual", "max continuity residual (normalized)", continuity)
       .add("nan_cells", "worst NaN scan (cells)", nan_cells)
       .add("last_alert", "last alert", alerts.empty() ? std::string() : alerts.back().message);

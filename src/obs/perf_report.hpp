@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -87,7 +88,12 @@ struct Section {
 Section step_anatomy_section(const Profiler& prof);
 
 // Simulation health (src/health): alert counts, sampled-window invariants.
-Section health_section(const health::HealthMonitor& mon);
+// In a laser-driven run pass the time from which every antenna is off
+// (`sources_off_s`): the energy drift then spans only the ledger samples
+// taken at or after it, since before it the antenna is still adding energy
+// to the box; with no such sample the drift is n/a and a field says so.
+Section health_section(const health::HealthMonitor& mon,
+                       std::optional<double> sources_off_s = std::nullopt);
 
 // Beam physics (src/insitu): the latest record of each reduced diagnostic
 // (n/a when it never ran or the beam is empty), the streamed volume.

@@ -41,17 +41,18 @@ struct ShapePair {
 template <int ORDER>
 void esirkepov_2d(const ParticleTile<2>& tile, const std::array<std::vector<Real>, 2>& x_old,
                   const mrpic::Geometry<2>& geom, const Array4<Real>& J, Real charge,
-                  Real dt) {
+                  Real dt, ParticleRange range) {
   constexpr int NW = ORDER + 2;
   const auto lo = geom.prob_lo();
   const auto idx = geom.inv_dx();
   const Real dxv = geom.cell_size(0), dyv = geom.cell_size(1);
 
-  for (std::size_t p = 0; p < tile.size(); ++p) {
+  for (std::size_t p = range.begin; p < range.end; ++p) {
+    const std::size_t k = p - range.begin;
     const Real Q = charge * tile.w[p];
     ShapePair<ORDER> sx, sy;
-    sx.compute((x_old[0][p] - lo[0]) * idx[0], (tile.x[0][p] - lo[0]) * idx[0]);
-    sy.compute((x_old[1][p] - lo[1]) * idx[1], (tile.x[1][p] - lo[1]) * idx[1]);
+    sx.compute((x_old[0][k] - lo[0]) * idx[0], (tile.x[0][p] - lo[0]) * idx[0]);
+    sy.compute((x_old[1][k] - lo[1]) * idx[1], (tile.x[1][p] - lo[1]) * idx[1]);
 
     // Jx: prefix sum along x of Wx = DSx * (S0y + DSy/2).
     const Real cx = -Q / (dyv * dt); // 2D: unit length in z
@@ -93,18 +94,19 @@ void esirkepov_2d(const ParticleTile<2>& tile, const std::array<std::vector<Real
 template <int ORDER>
 void esirkepov_3d(const ParticleTile<3>& tile, const std::array<std::vector<Real>, 3>& x_old,
                   const mrpic::Geometry<3>& geom, const Array4<Real>& J, Real charge,
-                  Real dt) {
+                  Real dt, ParticleRange range) {
   constexpr int NW = ORDER + 2;
   const auto lo = geom.prob_lo();
   const auto idx = geom.inv_dx();
   const Real dxv = geom.cell_size(0), dyv = geom.cell_size(1), dzv = geom.cell_size(2);
 
-  for (std::size_t p = 0; p < tile.size(); ++p) {
+  for (std::size_t p = range.begin; p < range.end; ++p) {
+    const std::size_t k = p - range.begin;
     const Real Q = charge * tile.w[p];
     ShapePair<ORDER> sx, sy, sz;
-    sx.compute((x_old[0][p] - lo[0]) * idx[0], (tile.x[0][p] - lo[0]) * idx[0]);
-    sy.compute((x_old[1][p] - lo[1]) * idx[1], (tile.x[1][p] - lo[1]) * idx[1]);
-    sz.compute((x_old[2][p] - lo[2]) * idx[2], (tile.x[2][p] - lo[2]) * idx[2]);
+    sx.compute((x_old[0][k] - lo[0]) * idx[0], (tile.x[0][p] - lo[0]) * idx[0]);
+    sy.compute((x_old[1][k] - lo[1]) * idx[1], (tile.x[1][p] - lo[1]) * idx[1]);
+    sz.compute((x_old[2][k] - lo[2]) * idx[2], (tile.x[2][p] - lo[2]) * idx[2]);
 
     // Esirkepov bracket for direction d1 given the two transverse shapes:
     // W = DS1 * (S0a S0b + (DSa S0b + S0a DSb)/2 + DSa DSb / 3).
@@ -155,13 +157,15 @@ void esirkepov_3d(const ParticleTile<3>& tile, const std::array<std::vector<Real
 template <int DIM, int ORDER>
 void direct_deposit(const ParticleTile<DIM>& tile,
                     const std::array<std::vector<Real>, DIM>& x_old,
-                    const mrpic::Geometry<DIM>& geom, const Array4<Real>& J, Real charge) {
+                    const mrpic::Geometry<DIM>& geom, const Array4<Real>& J, Real charge,
+                    ParticleRange range) {
   const auto lo = geom.prob_lo();
   const auto idx = geom.inv_dx();
   Real dv = 1;
   for (int d = 0; d < DIM; ++d) { dv *= geom.cell_size(d); }
 
-  for (std::size_t p = 0; p < tile.size(); ++p) {
+  for (std::size_t p = range.begin; p < range.end; ++p) {
+    const std::size_t k = p - range.begin;
     const Real u2 = tile.u[0][p] * tile.u[0][p] + tile.u[1][p] * tile.u[1][p] +
                     tile.u[2][p] * tile.u[2][p];
     const Real invg = 1 / std::sqrt(1 + u2 / (c * c));
@@ -169,7 +173,7 @@ void direct_deposit(const ParticleTile<DIM>& tile,
 
     Real xi_mid[DIM];
     for (int d = 0; d < DIM; ++d) {
-      xi_mid[d] = (Real(0.5) * (x_old[d][p] + tile.x[d][p]) - lo[d]) * idx[d];
+      xi_mid[d] = (Real(0.5) * (x_old[d][k] + tile.x[d][p]) - lo[d]) * idx[d];
     }
 
     for (int comp = 0; comp < 3; ++comp) {
@@ -240,26 +244,27 @@ template <int DIM>
 void deposit_current(DepositionKind kind, int order, const ParticleTile<DIM>& tile,
                      const std::array<std::vector<Real>, DIM>& x_old,
                      const mrpic::Geometry<DIM>& geom, const Array4<Real>& J, Real charge,
-                     Real dt) {
+                     Real dt, ParticleRange range) {
+  range = range.within(tile.size());
   if (kind == DepositionKind::Esirkepov) {
     if constexpr (DIM == 2) {
       switch (order) {
-        case 1: esirkepov_2d<1>(tile, x_old, geom, J, charge, dt); break;
-        case 2: esirkepov_2d<2>(tile, x_old, geom, J, charge, dt); break;
-        default: esirkepov_2d<3>(tile, x_old, geom, J, charge, dt); break;
+        case 1: esirkepov_2d<1>(tile, x_old, geom, J, charge, dt, range); break;
+        case 2: esirkepov_2d<2>(tile, x_old, geom, J, charge, dt, range); break;
+        default: esirkepov_2d<3>(tile, x_old, geom, J, charge, dt, range); break;
       }
     } else {
       switch (order) {
-        case 1: esirkepov_3d<1>(tile, x_old, geom, J, charge, dt); break;
-        case 2: esirkepov_3d<2>(tile, x_old, geom, J, charge, dt); break;
-        default: esirkepov_3d<3>(tile, x_old, geom, J, charge, dt); break;
+        case 1: esirkepov_3d<1>(tile, x_old, geom, J, charge, dt, range); break;
+        case 2: esirkepov_3d<2>(tile, x_old, geom, J, charge, dt, range); break;
+        default: esirkepov_3d<3>(tile, x_old, geom, J, charge, dt, range); break;
       }
     }
   } else {
     switch (order) {
-      case 1: direct_deposit<DIM, 1>(tile, x_old, geom, J, charge); break;
-      case 2: direct_deposit<DIM, 2>(tile, x_old, geom, J, charge); break;
-      default: direct_deposit<DIM, 3>(tile, x_old, geom, J, charge); break;
+      case 1: direct_deposit<DIM, 1>(tile, x_old, geom, J, charge, range); break;
+      case 2: direct_deposit<DIM, 2>(tile, x_old, geom, J, charge, range); break;
+      default: direct_deposit<DIM, 3>(tile, x_old, geom, J, charge, range); break;
     }
   }
 }
@@ -285,10 +290,12 @@ std::int64_t deposit_flops_per_particle(int order, int dim) {
 
 template void deposit_current<2>(DepositionKind, int, const ParticleTile<2>&,
                                  const std::array<std::vector<Real>, 2>&,
-                                 const mrpic::Geometry<2>&, const Array4<Real>&, Real, Real);
+                                 const mrpic::Geometry<2>&, const Array4<Real>&, Real, Real,
+                                 ParticleRange);
 template void deposit_current<3>(DepositionKind, int, const ParticleTile<3>&,
                                  const std::array<std::vector<Real>, 3>&,
-                                 const mrpic::Geometry<3>&, const Array4<Real>&, Real, Real);
+                                 const mrpic::Geometry<3>&, const Array4<Real>&, Real, Real,
+                                 ParticleRange);
 template void deposit_charge<2>(int, const ParticleTile<2>&, const mrpic::Geometry<2>&,
                                 const Array4<Real>&, Real);
 template void deposit_charge<3>(int, const ParticleTile<3>&, const mrpic::Geometry<3>&,

@@ -1,6 +1,5 @@
 #include "src/particles/gather.hpp"
 
-#include "src/amr/parallel_for.hpp"
 #include "src/fields/yee.hpp"
 #include "src/particles/shape.hpp"
 
@@ -25,14 +24,14 @@ struct DimWeights {
 template <int DIM, int ORDER>
 void gather_impl(const ParticleTile<DIM>& tile, const mrpic::Geometry<DIM>& geom,
                  const Array4<const Real>& E, const Array4<const Real>& B,
-                 GatheredFields& out) {
-  const std::size_t np = tile.size();
-  out.resize(np);
+                 GatheredFields& out, ParticleRange range) {
+  range = range.within(tile.size());
+  out.resize(range.size());
 
   const auto lo = geom.prob_lo();
   const auto idx = geom.inv_dx();
 
-  mrpic::parallel_for(static_cast<std::int64_t>(np), [&](std::int64_t p) {
+  for (std::size_t p = range.begin; p < range.end; ++p) {
     DimWeights<ORDER> dw[DIM];
     for (int d = 0; d < DIM; ++d) {
       dw[d].compute((tile.x[d][p] - lo[d]) * idx[d]);
@@ -70,11 +69,12 @@ void gather_impl(const ParticleTile<DIM>& tile, const mrpic::Geometry<DIM>& geom
       return acc;
     };
 
+    const std::size_t k = p - range.begin;
     for (int comp = 0; comp < 3; ++comp) {
-      out.E[comp][p] = interp(E, comp, fields::e_stag3[comp]);
-      out.B[comp][p] = interp(B, comp, fields::b_stag3[comp]);
+      out.E[comp][k] = interp(E, comp, fields::e_stag3[comp]);
+      out.B[comp][k] = interp(B, comp, fields::b_stag3[comp]);
     }
-  });
+  }
 }
 
 } // namespace
@@ -82,12 +82,12 @@ void gather_impl(const ParticleTile<DIM>& tile, const mrpic::Geometry<DIM>& geom
 template <int DIM>
 void gather_fields(int order, const ParticleTile<DIM>& tile, const mrpic::Geometry<DIM>& geom,
                    const Array4<const Real>& E, const Array4<const Real>& B,
-                   GatheredFields& out) {
+                   GatheredFields& out, ParticleRange range) {
   switch (order) {
-    case 1: gather_impl<DIM, 1>(tile, geom, E, B, out); break;
-    case 2: gather_impl<DIM, 2>(tile, geom, E, B, out); break;
-    case 3: gather_impl<DIM, 3>(tile, geom, E, B, out); break;
-    default: gather_impl<DIM, 3>(tile, geom, E, B, out); break;
+    case 1: gather_impl<DIM, 1>(tile, geom, E, B, out, range); break;
+    case 2: gather_impl<DIM, 2>(tile, geom, E, B, out, range); break;
+    case 3: gather_impl<DIM, 3>(tile, geom, E, B, out, range); break;
+    default: gather_impl<DIM, 3>(tile, geom, E, B, out, range); break;
   }
 }
 
@@ -101,9 +101,9 @@ std::int64_t gather_flops_per_particle(int order, int dim) {
 
 template void gather_fields<2>(int, const ParticleTile<2>&, const mrpic::Geometry<2>&,
                                const Array4<const Real>&, const Array4<const Real>&,
-                               GatheredFields&);
+                               GatheredFields&, ParticleRange);
 template void gather_fields<3>(int, const ParticleTile<3>&, const mrpic::Geometry<3>&,
                                const Array4<const Real>&, const Array4<const Real>&,
-                               GatheredFields&);
+                               GatheredFields&, ParticleRange);
 
 } // namespace mrpic::particles

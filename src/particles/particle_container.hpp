@@ -5,7 +5,9 @@
 // box). Positions are absolute physical coordinates; momenta are proper
 // velocities u = gamma * v [m/s] with all three components even in 2D.
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/amr/box_array.hpp"
@@ -14,6 +16,21 @@
 #include "src/particles/species.hpp"
 
 namespace mrpic::particles {
+
+// Half-open particle index range [begin, end) of one tile; the default is
+// the whole tile. The particle kernels take one so that a caller can run
+// them chunk by chunk; their per-particle scratch (gathered fields, x_old)
+// then holds particle `begin + k` at index k.
+struct ParticleRange {
+  std::size_t begin = 0;
+  std::size_t end = std::numeric_limits<std::size_t>::max();
+
+  // This range clipped to a tile of n particles.
+  ParticleRange within(std::size_t n) const {
+    return {std::min(begin, n), std::min(std::max(begin, end), n)};
+  }
+  std::size_t size() const { return end - begin; }
+};
 
 template <int DIM>
 struct ParticleTile {

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "src/amr/parallel_for.hpp"
-
 namespace mrpic::particles {
 
 using mrpic::constants::c;
@@ -69,12 +67,13 @@ void vay_rotate(std::array<Real, 3>& u, const std::array<Real, 3>& E,
 
 template <int DIM>
 void push_particles(PusherKind kind, ParticleTile<DIM>& tile, const GatheredFields& f,
-                    Real charge, Real mass, Real dt) {
-  const std::size_t np = tile.size();
-  mrpic::parallel_for(static_cast<std::int64_t>(np), [&](std::int64_t p) {
+                    Real charge, Real mass, Real dt, ParticleRange range) {
+  range = range.within(tile.size());
+  for (std::size_t p = range.begin; p < range.end; ++p) {
+    const std::size_t k = p - range.begin;
     std::array<Real, 3> u = {tile.u[0][p], tile.u[1][p], tile.u[2][p]};
-    const std::array<Real, 3> E = {f.E[0][p], f.E[1][p], f.E[2][p]};
-    const std::array<Real, 3> B = {f.B[0][p], f.B[1][p], f.B[2][p]};
+    const std::array<Real, 3> E = {f.E[0][k], f.E[1][k], f.E[2][k]};
+    const std::array<Real, 3> B = {f.B[0][k], f.B[1][k], f.B[2][k]};
     if (kind == PusherKind::Vay) {
       vay_rotate(u, E, B, charge, mass, dt);
     } else {
@@ -84,7 +83,7 @@ void push_particles(PusherKind kind, ParticleTile<DIM>& tile, const GatheredFiel
     const Real gamma = std::sqrt(1 + (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) / (c * c));
     const Real invg = 1 / gamma;
     for (int d = 0; d < DIM; ++d) { tile.x[d][p] += u[d] * invg * dt; }
-  });
+  }
 }
 
 std::int64_t push_flops_per_particle() {
@@ -94,8 +93,8 @@ std::int64_t push_flops_per_particle() {
 }
 
 template void push_particles<2>(PusherKind, ParticleTile<2>&, const GatheredFields&, Real,
-                                Real, Real);
+                                Real, Real, ParticleRange);
 template void push_particles<3>(PusherKind, ParticleTile<3>&, const GatheredFields&, Real,
-                                Real, Real);
+                                Real, Real, ParticleRange);
 
 } // namespace mrpic::particles

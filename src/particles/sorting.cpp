@@ -38,11 +38,14 @@ void sort_tile_by_cell(ParticleTile<DIM>& tile, const mrpic::Geometry<DIM>& geom
   std::vector<std::size_t> perm(np);
   for (std::size_t p = 0; p < np; ++p) { perm[count[keys[p]]++] = p; }
 
-  // Apply the permutation to every SoA attribute.
+  // Apply the permutation to every SoA attribute through one buffer, copied
+  // back so that the tile keeps its own storage (the sort runs on worker
+  // threads; swapping in a worker-allocated buffer would move the tile's
+  // storage into that thread's malloc arena).
+  std::vector<Real> tmp(np);
   auto apply = [&](std::vector<Real>& v) {
-    std::vector<Real> tmp(np);
     for (std::size_t p = 0; p < np; ++p) { tmp[p] = v[perm[p]]; }
-    v.swap(tmp);
+    std::copy(tmp.begin(), tmp.end(), v.begin());
   };
   for (int d = 0; d < DIM; ++d) { apply(tile.x[d]); }
   for (int cc = 0; cc < 3; ++cc) { apply(tile.u[cc]); }

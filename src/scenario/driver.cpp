@@ -1,10 +1,12 @@
 #include "src/scenario/driver.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "src/boost/lorentz.hpp"
@@ -380,7 +382,15 @@ obs::PerfReport assemble_perf_report(core::Simulation<2>& sim, const RunOptions&
   ropt.title = title;
   ropt.latency_s = cluster::CommModel{}.latency_s;
   auto report = obs::build_perf_report(sim.rank_recorder(), ropt);
-  if (opt.health) { report.sections.push_back(obs::health_section(*sim.health())); }
+  if (opt.health) {
+    // Energy drift is measured once every laser antenna is off (none: from
+    // the first sample).
+    std::optional<double> sources_off_s;
+    for (const auto& laser : sim.lasers()) {
+      sources_off_s = std::max(sources_off_s.value_or(laser.off_time()), laser.off_time());
+    }
+    report.sections.push_back(obs::health_section(*sim.health(), sources_off_s));
+  }
   if (opt.insitu) {
     report.sections.push_back(obs::beam_section(*sim.insitu(), sim.insitu_stream()));
   }

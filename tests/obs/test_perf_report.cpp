@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
+#include "src/health/monitor.hpp"
 #include "src/obs/bench_diff.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/perf_report.hpp"
 #include "src/obs/profiler.hpp"
 #include "src/obs/rank_recorder_io.hpp"
+#include "src/scenario/builder.hpp"
+#include "src/scenario/driver.hpp"
+#include "src/scenario/registry.hpp"
 
 namespace mrpic::obs {
 namespace {
@@ -278,6 +283,66 @@ TEST(PerfReport, ScalingLossesReplaceStepOverheadInJson) {
   ASSERT_EQ(doc["loss"].as_array().size(), 1u);
   EXPECT_DOUBLE_EQ(doc["loss"].as_array()[0]["nodes"].as_number(), 64.0);
   EXPECT_TRUE(benchdiff::validate_schema(doc).empty());
+}
+
+// Energy drift of a laser-driven run: only samples taken once every antenna
+// is off count, since before that the antenna is still adding energy.
+TEST(PerfReport, HealthDriftStartsWhenTheLaserAntennaIsOff) {
+  health::MonitorConfig cfg;
+  cfg.log_to_stderr = false;
+  health::HealthMonitor mon(cfg);
+  const auto sample = [&](std::int64_t step, double t, double energy) {
+    health::LedgerSample s;
+    s.step = step;
+    s.time = t;
+    s.field_energy_J = energy;
+    mon.record(s);
+  };
+  sample(0, 1.0, 1e-3);  // pulse still entering the box
+  sample(1, 2.0, 10.0);  // first sample at the cutoff
+  sample(2, 3.0, 10.5);
+
+  // No laser: drift over the whole ledger, as before.
+  const Section plain = health_section(mon);
+  EXPECT_NEAR(plain.number("energy_drift"), (10.5 - 1e-3) / 1e-3, 1e-6);
+  EXPECT_TRUE(std::isnan(plain.number("energy_drift_from_s")));
+
+  const Section driven = health_section(mon, 2.0);
+  EXPECT_DOUBLE_EQ(driven.number("energy_drift"), 0.05);
+  EXPECT_DOUBLE_EQ(driven.number("energy_drift_from_s"), 2.0);
+  for (const auto& f : driven.fields) { EXPECT_NE(f.key, "energy_drift_note"); }
+
+  // Every sample precedes the cutoff: n/a, and the section says why.
+  const Section early = health_section(mon, 5.0);
+  EXPECT_TRUE(std::isnan(early.number("energy_drift")));
+  bool noted = false;
+  for (const auto& f : early.fields) {
+    if (f.key == "energy_drift_note") {
+      noted = std::get<std::string>(f.value) == "laser antenna still emitting";
+    }
+  }
+  EXPECT_TRUE(noted);
+}
+
+// A 12-step lwfa_mr run ends before its antenna stops, so the report gives
+// no drift instead of one dominated by the injected pulse.
+TEST(PerfReport, ShortLwfaMrRunReportsNoEnergyDrift) {
+  auto sim = scenario::build_simulation(scenario::ScenarioRegistry::instance().make("lwfa_mr"));
+  health::MonitorConfig hcfg;
+  hcfg.log_to_stderr = false;
+  sim->enable_health(hcfg);
+  sim->run(12);
+  scenario::RunOptions opt;
+  opt.health = true;
+  const auto report = scenario::assemble_perf_report(*sim, opt, "lwfa_mr");
+  const Section* h = report.section("health");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->number("samples"), 12);
+  EXPECT_TRUE(std::isnan(h->number("energy_drift")));
+  EXPECT_GT(h->number("energy_drift_from_s"), sim->time());
+  std::ostringstream md;
+  write_markdown(report, md);
+  EXPECT_NE(md.str().find("laser antenna still emitting"), std::string::npos);
 }
 
 } // namespace
