@@ -1,5 +1,7 @@
 #include "src/obs/durable_file.hpp"
 
+#include <fcntl.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -21,6 +23,23 @@ bool JsonlAppender::append(const JsonWriteFn& write) {
   return m_os.good();
 }
 
+namespace {
+
+// Atomically swap two existing files (renameat2 RENAME_EXCHANGE). False
+// when `to` does not exist yet, or the platform or filesystem lacks the
+// call.
+bool exchange_files(const std::string& from, const std::string& to) {
+#ifdef RENAME_EXCHANGE
+  return ::renameat2(AT_FDCWD, from.c_str(), AT_FDCWD, to.c_str(), RENAME_EXCHANGE) == 0;
+#else
+  (void)from;
+  (void)to;
+  return false;
+#endif
+}
+
+} // namespace
+
 bool rewrite_json_atomic(const std::string& path, const JsonWriteFn& write) {
   const std::string tmp = path + ".tmp";
   bool ok = false;
@@ -30,6 +49,16 @@ bool rewrite_json_atomic(const std::string& path, const JsonWriteFn& write) {
     os << '\n';
     os.flush();
     ok = os.good();
+  }
+  // Replace an existing document by swapping it with the tmp file and then
+  // deleting the tmp (now the old document) rather than renaming over it:
+  // on ext4 a rename over an existing file starts writeback of the new
+  // file's data, which made a heartbeat rewrite right after a step cost
+  // 0.4-0.5 ms instead of ~0.2 ms. Readers see the old or the new document
+  // either way.
+  if (ok && exchange_files(tmp, path)) {
+    std::remove(tmp.c_str());
+    return true;
   }
   std::error_code ec;
   if (ok) { std::filesystem::rename(tmp, path, ec); }

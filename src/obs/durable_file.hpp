@@ -6,9 +6,9 @@
 //  - JsonlAppender: append one line and flush, so each record is on disk
 //    before the next step can crash (events, insitu series, health alerts
 //    and ledger, bench history);
-//  - rewrite_json_atomic: write <path>.tmp, flush, rename over <path>, so a
-//    poller never reads a torn document (run.json, progress.json, stream
-//    manifest, traces and reports);
+//  - rewrite_json_atomic: write <path>.tmp, flush, swap it with <path>
+//    (or rename it there), so a poller never reads a torn document
+//    (run.json, progress.json, stream manifest, traces and reports);
 //  - read_jsonl: tolerant line reader (a crashed writer's half line or a
 //    foreign schema is skipped and counted);
 //  - load_json: read and parse one whole document.
